@@ -47,6 +47,11 @@ def si(x):
     return sici(np.asarray(x, dtype=float))[0]
 
 
+def reciprocal(x):
+    """1/x, the tail envelope of sinc."""
+    return 1.0 / np.asarray(x, dtype=float)
+
+
 def _f1_sin(x, k):
     x = np.asarray(x, dtype=float)
     return x / (1.0 + x * x) * np.sin(k * x)
@@ -64,9 +69,12 @@ class DriftBasis:
     funcs[nu] is f_{2,nu+1}; antiderivs[nu] is its closed-form antiderivative
     when one exists, else None and quadrature is used.  osc[nu] is either None
     or ("sin"|"cos", frequency, envelope) with f_{2,nu+1}(x) =
-    envelope(x)*sin/cos(frequency*x), so antiderivative tails beyond the
-    direct-quadrature range can be finished with a weighted (QAWF-style)
-    rule.  f_limit_pos/neg store F_{2,nu}(+inf) and F_{2,nu}(-inf).
+    envelope(x)*sin/cos(frequency*x) for large |x|, so antiderivative tails
+    beyond the direct-quadrature range and moment tails beyond the panels can
+    be finished with a weighted (QAWF-style) rule.  The moment error bound
+    needs, on each ray beyond the panels, an envelope that is monotone with a
+    monotone derivative, |envelope(x)| <= 1/|x| and |envelope'(x)| <= 1/x^2.
+    f_limit_pos/neg store F_{2,nu}(+inf) and F_{2,nu}(-inf).
     """
 
     name: str
@@ -141,7 +149,7 @@ def make_basis(name: str) -> DriftBasis:
             antiderivs=(si,),
             f_limit_pos=(np.pi / 2,),
             f_limit_neg=(-np.pi / 2,),
-            osc=(None,),
+            osc=(("sin", 1.0, reciprocal),),
         )
     match = re.fullmatch(r"fourier-(\d+)", name)
     if match:

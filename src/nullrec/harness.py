@@ -313,7 +313,10 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
 # -------------------------------------------------------------------- rate
 
 def _rescaled_errors(config, spec, theta, horizon, hz_index):
-    """(errors, errors_windowed, invertible fraction) at one horizon."""
+    """(errors, errors_windowed, invertible fraction) at one horizon.
+
+    Either error array is None when no replication gave an invertible J.
+    """
     res = run_ensemble(spec, theta, float(horizon), config.dt,
                        config.master_seed, config.replications,
                        rep_offset=(_CTX_RATE + hz_index) << 32,
@@ -337,7 +340,7 @@ def _rescaled_errors(config, spec, theta, horizon, hz_index):
             west = restricted_mle(wstats)
             if west.j_invertible:
                 errs_win.append((west.theta_hat - theta_vec) * root)
-    errs = np.array(errs)
+    errs = np.array(errs) if errs else None
     errs_win = np.array(errs_win) if errs_win else None
     return errs, errs_win, n_ok / config.replications
 
@@ -360,8 +363,6 @@ def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
         rows.append(ReportRow(horizon, None, "invertible_fraction", frac,
                               config.tol("min_invertible_frac"),
                               frac >= config.tol("min_invertible_frac")))
-        if errs.size == 0:
-            return ExperimentReport("rate", rows, time.perf_counter() - t_start)
 
     lam = mu_moment_matrix(spec, theta)
     law = LimitLawSpec(alpha=consts.alpha, cov=lam)
@@ -385,12 +386,16 @@ def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
     final = config.horizons[-1]
     for coord in range(p):
         for n_a, n_b in zip(config.horizons, config.horizons[1:]):
+            if per_horizon[n_a][0] is None or per_horizon[n_b][0] is None:
+                continue
             ks = ks_statistic(per_horizon[n_a][0][:, coord],
                               per_horizon[n_b][0][:, coord])
             rows.append(ReportRow(n_b, coord, "ks_cross_horizon", ks,
                                   config.tol("ks_cross"),
                                   ks <= config.tol("ks_cross")))
         for horizon in config.horizons:
+            if per_horizon[horizon][0] is None:
+                continue
             ks = ks_statistic(per_horizon[horizon][0][:, coord], lim[:, coord])
             gate = horizon == final
             rows.append(ReportRow(horizon, coord, "ks_vs_limit", ks,

@@ -105,11 +105,18 @@ def lane_rng(seed: int, lane: int) -> np.random.Generator:
 
 
 def n_threads() -> int:
-    """Worker cap for replication-level parallelism (NULLREC_THREADS, >= 1)."""
+    """Worker cap for replication-level parallelism (NULLREC_THREADS, >= 1).
+
+    Unset means 1; anything but a positive integer raises ValueError.
+    """
+    raw = os.environ.get("NULLREC_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("NULLREC_THREADS", "1")))
+        value = int(raw)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise ValueError(f"NULLREC_THREADS={raw!r} is not a positive integer")
+    return value
 
 
 def _drift_fn(spec: ModelSpec, theta: ParamVector):
@@ -132,6 +139,15 @@ def _drift_fn(spec: ModelSpec, theta: ParamVector):
 
 def _default_block(lanes: int) -> int:
     return max(256, min(65536, 2_000_000 // max(lanes, 1)))
+
+
+def _mirror_upper(mat: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle of each (p, p) matrix in mat into its lower one."""
+    p = mat.shape[-1]
+    for i in range(p):
+        for l in range(i):
+            mat[:, i, l] = mat[:, l, i]
+    return mat
 
 
 def _simulate_chunk(args) -> dict:
@@ -168,7 +184,7 @@ def _simulate_chunk(args) -> dict:
     ck_iter = list(checkpoint_steps) if want_stats else []
 
     def snapshot(step):
-        checkpoints[step * dt] = (y.copy(), jj.copy())
+        checkpoints[step * dt] = (y.copy(), _mirror_upper(jj.copy()))
 
     done = 0
     boundaries = sorted(set(ck_iter) | {n_steps})
@@ -244,10 +260,9 @@ def _simulate_chunk(args) -> dict:
     scale_y = 1.0 / spec.sigma**2
     scale_j = dt / spec.sigma**2
     if want_stats:
-        for mat in (jj,) + ((j_win,) if window is not None else ()):
-            for i in range(p):
-                for l in range(i):
-                    mat[:, i, l] = mat[:, l, i]
+        _mirror_upper(jj)
+        if window is not None:
+            _mirror_upper(j_win)
         out["y"] = y * scale_y
         out["j"] = jj * scale_j
         if window is not None:

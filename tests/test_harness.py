@@ -138,6 +138,16 @@ def test_rate_experiment_small_smoke():
             assert 0.0 <= r.value <= 1.0
 
 
+def test_rate_reports_every_horizon():
+    # one Euler step never gives an invertible J; the later horizon still counts
+    cfg = ExperimentConfig(kind="rate", horizons=(1, 50), dt=1.0, replications=20)
+    report = run_rate_experiment(cfg)
+    fracs = {r.horizon: r.value for r in report.find("invertible_fraction")}
+    assert fracs[1.0] == 0.0 and fracs[50.0] > 0.0
+    assert {r.horizon for r in report.find("ks_vs_limit")} == {50.0}
+    assert not report.find("ks_cross_horizon")
+
+
 def test_rate_requires_two_horizons():
     with pytest.raises(ValueError):
         run_rate_experiment(ExperimentConfig(kind="rate", horizons=(100,)))

@@ -21,8 +21,16 @@ from nullrec import (
     scale_function,
     scale_inverse,
 )
-from nullrec.errors import DegenerateWindowError
-from nullrec.model import mu_integral, _scale_density
+from nullrec.basis import DriftBasis, sinc
+from nullrec.errors import DegenerateWindowError, QuadratureError
+from nullrec.model import (
+    _GK_WG,
+    _GK_WK,
+    _GK_X,
+    _moment_matrix_and_error,
+    _scale_density,
+    mu_integral,
+)
 
 
 theta1_domain = st.floats(min_value=-0.49, max_value=0.49)
@@ -100,6 +108,21 @@ def test_antiderivative_fourier_far_tail_consistent():
     lim = spec.basis.f_limit_pos[0]
     assert abs(far - lim) < abs(near - lim) + 1e-6
     assert abs(far - lim) < 1e-3
+
+
+def test_antiderivative_without_tail_form_raises():
+    # no closed form and no osc metadata: beyond the direct range there is
+    # nothing to finish F with, so it must not fall back to the limit
+    basis = DriftBasis(name="bare-sinc", funcs=(sinc,), antiderivs=(None,),
+                       f_limit_pos=(np.pi / 2,), f_limit_neg=(-np.pi / 2,),
+                       osc=(None,))
+    spec = ModelSpec(sigma=1.0, basis=basis)
+    assert antiderivative_F(spec, 1, 3.0) == pytest.approx(1.8486525279994681, abs=1e-9)
+    for x in (500.0, -500.0):
+        with pytest.raises(QuadratureError):
+            antiderivative_F(spec, 1, x)
+    with pytest.raises(QuadratureError):
+        mu_moment_matrix(spec, ParamVector(0.0, (0.3,)))
 
 
 def test_antiderivative_bad_index(spec_sinc):
@@ -240,6 +263,62 @@ def test_moment_matrix_sinc_oscillatory_entry(spec_sinc, theta_sinc):
     lam = mu_moment_matrix(spec_sinc, theta_sinc)
     assert lam[0, 1] == pytest.approx(0.7975785461, abs=2e-4)
     assert lam[0, 1] == lam[1, 0]
+
+
+# bench/oracle.json (python3 bench/oracle.py): Gauss-Legendre, 32 nodes per
+# pi-wide panel over [-1e5 pi, 1e5 pi] plus the 1/x^2 tail, sigma = 1, sinc.
+_ORACLE = (
+    ((0.3,), None, [[2.198910067036765, 0.7975785461156857],
+                    [0.7975785461156857, 3.740427945782389]]),
+    ((0.3,), (-2.0, 2.0), [[0.86650973740209, 0.7468813772204677],
+                           [0.7468813772204677, 3.0520012583824716]]),
+    ((0.5,), None, [[3.5619513651712142, 1.538831932120315],
+                    [1.538831932120315, 4.982723902766246]]),
+)
+
+
+@pytest.mark.parametrize("theta2, window, want", _ORACLE)
+def test_moment_matrix_matches_panel_oracle(spec_sinc, theta2, window, want):
+    got, est = _moment_matrix_and_error(spec_sinc, ParamVector(0.0, theta2), window)
+    np.testing.assert_allclose(mu_moment_matrix(spec_sinc, ParamVector(0.0, theta2),
+                                                window=window), got, rtol=0, atol=0)
+    want = np.array(want)
+    assert np.abs(got - want).max() <= 2e-8
+    if window is None:
+        # the oracle takes int_R^inf f1 sinc m as 0; its leading term is
+        # (e^(lam2 pi/2) - e^(-lam2 pi/2)) cos(R) / R^2 at R = 1e5 pi
+        r, lam2 = 1e5 * np.pi, 2.0 * theta2[0]
+        want[0, 1] = want[1, 0] = want[0, 1] + (
+            np.exp(lam2 * np.pi / 2) - np.exp(-lam2 * np.pi / 2)) / r**2
+    assert np.all(est >= np.abs(got - want))
+
+
+@pytest.mark.parametrize("theta1", [-0.45, -0.2, 0.2, 0.45])
+def test_moment_matrix_plain_closed_form(spec_plain, theta1):
+    # mu(f1^2) = int x^2 (1+x^2)^(lam1/2 - 2) dx = B(3/2, (1 - lam1)/2)
+    got, est = _moment_matrix_and_error(spec_plain, ParamVector(theta1))
+    want = math.gamma(1.5) * math.gamma(0.5 - theta1) / math.gamma(2.0 - theta1)
+    assert abs(got[0, 0] - want) <= est[0, 0] <= 1e-8
+
+
+def test_moment_matrix_raises_above_error_bound(spec_sinc):
+    # near lam1 = 1 with a large secondary drift the tail bound exceeds 1e-8
+    th = ParamVector(0.49, (1.0,))
+    _, est = _moment_matrix_and_error(spec_sinc, th)
+    assert est.max() > 1e-8
+    with pytest.raises(QuadratureError):
+        mu_moment_matrix(spec_sinc, th)
+
+
+def test_gauss_kronrod_constants():
+    xg, wg = np.polynomial.legendre.leggauss(10)
+    gauss = _GK_WG > 0
+    np.testing.assert_allclose(_GK_X[gauss], xg, atol=1e-15)
+    np.testing.assert_allclose(_GK_WG[gauss], wg, atol=1e-15)
+    # the 21-point Kronrod rule integrates x^k exactly up to k = 31
+    for k in range(32):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert np.dot(_GK_WK, _GK_X**k) == pytest.approx(exact, abs=1e-14)
 
 
 def test_moment_matrix_window_gap_psd(spec_sinc, theta_sinc):

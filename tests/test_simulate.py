@@ -13,7 +13,7 @@ from nullrec import (
     score_at,
     simulate_path,
 )
-from nullrec.simulate import lane_rng, n_steps_for
+from nullrec.simulate import lane_rng, n_steps_for, n_threads
 
 
 def test_zero_horizon_path(spec_sinc, theta_sinc):
@@ -207,3 +207,25 @@ def test_ensemble_threads_equivalent(spec_sinc, theta_sinc):
     split = run_ensemble(spec_sinc, theta_sinc, 5.0, 1e-2, 31, 4, threads=2)
     np.testing.assert_array_equal(serial.y, split.y)
     np.testing.assert_array_equal(serial.j, split.j)
+
+
+def test_checkpoint_j_symmetric(spec_sinc):
+    th = ParamVector(0.1, (-0.3,))
+    res = run_ensemble(spec_sinc, th, 5.0, 0.01, 1, 3, checkpoint_times=(2.5, 5.0))
+    for _, j in res.checkpoints.values():
+        np.testing.assert_array_equal(j, np.transpose(j, (0, 2, 1)))
+    np.testing.assert_array_equal(res.checkpoints[5.0][1], res.j)
+
+
+def test_n_threads_unset_means_one(monkeypatch):
+    monkeypatch.delenv("NULLREC_THREADS", raising=False)
+    assert n_threads() == 1
+    monkeypatch.setenv("NULLREC_THREADS", "3")
+    assert n_threads() == 3
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
+def test_n_threads_rejects_malformed(monkeypatch, raw):
+    monkeypatch.setenv("NULLREC_THREADS", raw)
+    with pytest.raises(ValueError, match=repr(raw)):
+        n_threads()
