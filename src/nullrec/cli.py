@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import make_basis
 from .errors import NullrecError
 from .estimators import log_likelihood_ratio, mle, restricted_mle
 from .harness import ExperimentConfig, ExperimentReport, ks_statistic, run_experiment
 from .limits import LimitLawSpec, make_loss, monte_carlo_risk, rng_stream, sample_limit_error, sample_stable
-from .model import ModelSpec, ParamVector, asymptotic_constants, norming
+from .model import ModelSpec, ParamVector, asymptotic_constants, norming, require_valid_theta
 from .simulate import SufficientStats, accumulate_stats, simulate_path
 
 __all__ = ["CliConfig", "parse_config", "dispatch", "emit_report", "main"]
@@ -143,33 +142,18 @@ class UsageError(NullrecError):
 def _validate(config: CliConfig) -> None:
     get = config.get
     if config.subcommand in ("constants", "simulate"):
-        basis = make_basis(get("basis"))
-        if len(get("theta2") or ()) != basis.m:
-            raise UsageError(
-                f"--theta2 must supply {basis.m} value(s) for basis "
-                f"{basis.name!r} (got {len(get('theta2') or ())})"
-            )
-        bound = 0.5 * get("sigma") ** 2
-        if get("sigma") <= 0:
-            raise UsageError("--sigma must be positive")
-        if not abs(get("theta1")) < bound:
-            raise UsageError(
-                f"--theta1 must lie strictly inside (-{bound}, {bound})"
-            )
-    if config.subcommand == "simulate":
-        if get("dt") <= 0 or get("horizon") < 0:
-            raise UsageError("--dt must be positive and --horizon nonnegative")
-        if get("horizon") > 0 and get("dt") > get("horizon"):
-            raise UsageError("--dt must not exceed --horizon")
-        if get("seed") < 0:
-            raise UsageError("--seed must be nonnegative")
+        try:
+            require_valid_theta(*_model_from(config))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+    if config.subcommand in ("simulate", "check") and get("seed") < 0:
+        # lane_rng would mask a negative seed to 64 bits without a word
+        raise UsageError("--seed must be nonnegative")
     if config.subcommand == "limits":
         if not 0.0 < get("alpha") < 1.0:
             raise UsageError("--alpha must lie in (0, 1)")
         if get("n") < 1:
             raise UsageError("--n must be >= 1")
-    if config.subcommand == "check" and get("seed") < 0:
-        raise UsageError("--seed must be nonnegative")
 
 
 def _model_from(config: CliConfig):

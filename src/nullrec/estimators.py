@@ -1,6 +1,6 @@
 """Estimators built on the sufficient statistics (y, j).
 
-All of them are linear algebra on a single SufficientStats record: the
+All of them are linear algebra on a SufficientStats record: the
 maximum-likelihood solve j theta = y behind a positive-definiteness gate, the
 same solve on window-restricted statistics, the one-dimensional ratio
 estimator for the principal parameter (inconsistent when secondary drift is
@@ -37,37 +37,42 @@ EPS_PD = 1e-10
 
 @dataclass
 class EstimateResult:
+    """One estimate, or R of them from stacked statistics.
+
+    For stacked statistics theta_hat is (R, p) and j_invertible and
+    conditioning are (R,) arrays; for one record they are a bool and a float.
+    """
+
     theta_hat: np.ndarray
-    j_invertible: bool
-    conditioning: float
+    j_invertible: bool | np.ndarray
+    conditioning: float | np.ndarray
     horizon: float
 
 
 def _gated_solve(j: np.ndarray, rhs: np.ndarray):
     """Solve j x = rhs through an eigendecomposition with the D+ gate.
 
-    Returns (solution or None, smallest eigenvalue).  The gate fails when the
-    smallest eigenvalue is not above EPS_PD * trace / dim.
+    j is (p, p) or stacked (R, p, p), rhs (p,) or (R, p).  Returns the
+    solutions (zero where the gate fails), the gate verdicts and the smallest
+    eigenvalues.  The gate fails when the smallest eigenvalue is not above
+    EPS_PD * trace / dim.
     """
     w, v = np.linalg.eigh(j)
-    w_min = float(w[0])
-    floor = EPS_PD * float(np.trace(j)) / j.shape[0]
-    if w_min <= floor:
-        return None, w_min
-    return v @ ((v.T @ rhs) / w), w_min
+    w_min = w[..., 0]
+    passed = w_min > EPS_PD * np.trace(j, axis1=-2, axis2=-1) / j.shape[-1]
+    # gated rows may divide by a zero eigenvalue; they are zeroed below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = (np.swapaxes(v, -1, -2) @ rhs[..., None]) / w[..., None]
+        sol = (v @ coef)[..., 0]
+    return np.where(passed[..., None], sol, 0.0), passed, w_min
 
 
 def mle(stats: SufficientStats) -> EstimateResult:
     """ML estimate 1{j in D+} j^{-1} y; zero vector when the gate fails."""
-    sol, w_min = _gated_solve(stats.j, stats.y)
-    if sol is None:
-        return EstimateResult(
-            theta_hat=np.zeros_like(stats.y),
-            j_invertible=False,
-            conditioning=w_min,
-            horizon=stats.t,
-        )
-    return EstimateResult(theta_hat=sol, j_invertible=True,
+    sol, passed, w_min = _gated_solve(stats.j, stats.y)
+    if stats.y.ndim == 1:
+        passed, w_min = bool(passed), float(w_min)
+    return EstimateResult(theta_hat=sol, j_invertible=passed,
                           conditioning=w_min, horizon=stats.t)
 
 
@@ -135,9 +140,9 @@ def one_step(stats: SufficientStats, preliminary) -> EstimateResult:
         raise ValueError("preliminary estimate has wrong dimension")
     if not np.isfinite(prelim).all():
         raise ValueError("preliminary estimate must be finite")
-    sol, w_min = _gated_solve(stats.j, stats.y - stats.j @ prelim)
-    if sol is None:
+    sol, passed, w_min = _gated_solve(stats.j, stats.y - stats.j @ prelim)
+    if not passed:
         return EstimateResult(theta_hat=prelim.copy(), j_invertible=False,
-                              conditioning=w_min, horizon=stats.t)
+                              conditioning=float(w_min), horizon=stats.t)
     return EstimateResult(theta_hat=prelim + sol, j_invertible=True,
-                          conditioning=w_min, horizon=stats.t)
+                          conditioning=float(w_min), horizon=stats.t)

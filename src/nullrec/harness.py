@@ -239,8 +239,12 @@ class ExperimentReport:
         }
 
 
-def _per_rep_stats(res, idx, horizon, x0):
-    return SufficientStats(y=res.y[idx], j=res.j[idx], t=horizon, x0=x0)
+def _ensemble_mle(res, horizon, x0, window=None):
+    """Stacked ML estimates of every replication, restricted when windowed."""
+    if window is None:
+        return mle(SufficientStats(y=res.y, j=res.j, t=float(horizon), x0=x0))
+    return restricted_mle(SufficientStats(y=res.y_win, j=res.j_win, t=float(horizon),
+                                          window=window, x0=x0))
 
 
 # ---------------------------------------------------------------- identity
@@ -274,15 +278,13 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
         h_loc = np.ones_like(theta_vec)
         max_res = {"error_representation": 0.0, "cocycle": 0.0,
                    "one_step": 0.0, "local_quadratic": 0.0}
-        n_sing = 0
-        for i in range(config.replications):
-            stats = _per_rep_stats(res, i, float(horizon), spec.x0)
-            est = mle(stats)
-            if not est.j_invertible:
-                n_sing += 1
-                continue
+        est = _ensemble_mle(res, horizon, spec.x0)
+        n_sing = int(np.count_nonzero(~est.j_invertible))
+        for i in np.flatnonzero(est.j_invertible):
+            stats = SufficientStats(y=res.y[i], j=res.j[i], t=float(horizon), x0=spec.x0)
+            theta_hat = est.theta_hat[i]
             for g in grid:
-                lhs = est.theta_hat - g
+                lhs = theta_hat - g
                 rhs = np.linalg.solve(stats.j, score_at(stats, g))
                 max_res["error_representation"] = max(
                     max_res["error_representation"], float(np.abs(lhs - rhs).max()))
@@ -296,7 +298,7 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
                 step = one_step(stats, prelim)
                 max_res["one_step"] = max(
                     max_res["one_step"],
-                    float(np.abs(step.theta_hat - est.theta_hat).max()))
+                    float(np.abs(step.theta_hat - theta_hat).max()))
             direct = log_likelihood_ratio(stats, theta_vec + delta_n * h_loc, theta_vec)
             local = (h_loc @ (delta_n * score_at(stats, theta_vec))
                      - 0.5 * h_loc @ (delta_n**2 * stats.j) @ h_loc)
@@ -324,25 +326,16 @@ def _rescaled_errors(config, spec, theta, horizon, hz_index):
     alpha_n, _ = norming(spec, theta, int(horizon))
     root = math.sqrt(alpha_n)
     theta_vec = theta.as_array()
-    errs, errs_win = [], []
-    n_ok = 0
-    for i in range(config.replications):
-        stats = _per_rep_stats(res, i, float(horizon), spec.x0)
-        est = mle(stats)
-        if not est.j_invertible:
-            continue
-        n_ok += 1
-        errs.append((est.theta_hat - theta_vec) * root)
-        if config.window is not None:
-            wstats = SufficientStats(y=res.y_win[i], j=res.j_win[i],
-                                     t=float(horizon), window=config.window,
-                                     x0=spec.x0)
-            west = restricted_mle(wstats)
-            if west.j_invertible:
-                errs_win.append((west.theta_hat - theta_vec) * root)
-    errs = np.array(errs) if errs else None
-    errs_win = np.array(errs_win) if errs_win else None
-    return errs, errs_win, n_ok / config.replications
+    est = _ensemble_mle(res, horizon, spec.x0)
+    ok = est.j_invertible
+    errs = (est.theta_hat[ok] - theta_vec) * root if ok.any() else None
+    errs_win = None
+    if config.window is not None:
+        west = _ensemble_mle(res, horizon, spec.x0, config.window)
+        both = ok & west.j_invertible
+        if both.any():
+            errs_win = (west.theta_hat[both] - theta_vec) * root
+    return errs, errs_win, int(np.count_nonzero(ok)) / config.replications
 
 
 def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -557,7 +550,7 @@ def run_rlt_experiment(config: ExperimentConfig) -> ExperimentReport:
         _, j_ck = res.checkpoints[t_ck]
         rows.append(ReportRow(t_ck, None, "b_check_lane0", b_check(j_ck[0]),
                               None, None))
-    terminal_b = np.array([b_check(res.j[i]) for i in range(config.replications)])
+    terminal_b = np.array([b_check(j) for j in res.j])
     lam = mu_moment_matrix(spec, theta)
     predicted = float(theta2 @ lam[0, 1:] / lam[0, 0])
     med_b = float(np.median(terminal_b))
@@ -566,14 +559,9 @@ def run_rlt_experiment(config: ExperimentConfig) -> ExperimentReport:
                           rel, abs(med_b - predicted) <= rel * abs(predicted)))
     rows.append(ReportRow(horizon, None, "b_check_predicted", predicted, None, None))
 
-    theta_vec = theta.as_array()
-    naive_dev, mle_dev = [], []
-    for i in range(config.replications):
-        stats = _per_rep_stats(res, i, horizon, spec.x0)
-        naive_dev.append(abs(stats.y[0] / stats.j[0, 0] - theta.theta1))
-        est = mle(stats)
-        if est.j_invertible:
-            mle_dev.append(abs(est.theta_hat[0] - theta_vec[0]))
+    est = _ensemble_mle(res, horizon, spec.x0)
+    naive_dev = np.abs(res.y[:, 0] / res.j[:, 0, 0] - theta.theta1)
+    mle_dev = np.abs(est.theta_hat[est.j_invertible, 0] - theta.theta1)
     factor = config.tol("naive_vs_mle_factor")
     med_naive = float(np.median(naive_dev))
     med_mle = float(np.median(mle_dev))
@@ -635,25 +623,17 @@ def run_risk_experiment(config: ExperimentConfig) -> ExperimentReport:
                            config.master_seed, config.replications,
                            rep_offset=(_CTX_RISK + h_index) << 32,
                            window=config.window, block_steps=config.block_steps)
-        losses_mle, losses_win = [], []
-        for i in range(config.replications):
-            stats = _per_rep_stats(res, i, float(horizon), spec.x0)
-            est = mle(stats)
-            losses_mle.append(loss((est.theta_hat - shifted_vec) / delta_n)[0])
-            if config.window is not None:
-                wstats = SufficientStats(y=res.y_win[i], j=res.j_win[i],
-                                         t=float(horizon), window=config.window,
-                                         x0=spec.x0)
-                west = restricted_mle(wstats)
-                losses_win.append(loss((west.theta_hat - shifted_vec) / delta_n)[0])
+        est = _ensemble_mle(res, horizon, spec.x0)
+        losses_mle = loss((est.theta_hat - shifted_vec) / delta_n)
         risk = float(np.mean(losses_mle))
         se = float(np.std(losses_mle, ddof=1) / math.sqrt(len(losses_mle)))
         rows.append(ReportRow(float(horizon), h_index, "risk_mle_at_h", risk,
                               None, None))
         if risk > sup_mle:
             sup_mle, se_at_sup = risk, se
-        if losses_win:
-            risk_w = float(np.mean(losses_win))
+        if config.window is not None:
+            west = _ensemble_mle(res, horizon, spec.x0, config.window)
+            risk_w = float(np.mean(loss((west.theta_hat - shifted_vec) / delta_n)))
             rows.append(ReportRow(float(horizon), h_index, "risk_windowed_at_h",
                                   risk_w, None, None))
             sup_win = max(sup_win, risk_w)

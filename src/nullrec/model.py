@@ -147,7 +147,7 @@ def require_valid_theta(spec: ModelSpec, theta: ParamVector) -> None:
     """Check theta against the model: t1 interior to its interval, sizes match."""
     if theta.m != spec.m:
         raise ValueError(
-            f"parameter has {theta.m} secondary components, basis has {spec.m}"
+            f"theta2 has {theta.m} value(s), basis {spec.basis.name!r} has {spec.m}"
         )
     if not theta_in_domain(spec, theta):
         bound = 0.5 * spec.sigma**2
@@ -162,15 +162,31 @@ def _lambdas(spec: ModelSpec, theta: ParamVector):
     return lam1, lam2
 
 
+def _drift_fn(spec: ModelSpec, theta: ParamVector):
+    """Vectorized drift closure, or None when the drift vanishes identically."""
+    if theta.theta1 == 0.0 and all(c == 0.0 for c in theta.theta2):
+        return None
+    coefs = theta.theta2
+    funcs = spec.basis.funcs
+    t1 = theta.theta1
+
+    def drift(x):
+        out = t1 * principal_f1(x)
+        for c, f in zip(coefs, funcs):
+            if c != 0.0:
+                out = out + c * f(x)
+        return out
+
+    return drift
+
+
 def eval_drift(spec: ModelSpec, theta: ParamVector, x):
     """Drift b(x) = t1*f1(x) + sum_nu t2_nu*f_{2,nu}(x); vectorized in x."""
     if theta.m != spec.m:
         raise ValueError("parameter/basis size mismatch")
     x = np.asarray(x, dtype=float)
-    out = theta.theta1 * principal_f1(x)
-    for coef, f in zip(theta.theta2, spec.basis.funcs):
-        if coef != 0.0:
-            out = out + coef * f(x)
+    drift = _drift_fn(spec, theta)
+    out = np.zeros_like(x) if drift is None else drift(x)
     return out if out.shape else float(out)
 
 

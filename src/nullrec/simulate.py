@@ -16,6 +16,7 @@ identically zero the per-step recursion collapses to a cumulative sum.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ import numpy as np
 
 from .basis import principal_f1
 from .errors import SimulationDivergedError
-from .model import ModelSpec, ParamVector, require_valid_theta, scale_inverse
+from .model import ModelSpec, ParamVector, _drift_fn, require_valid_theta, scale_inverse
 
 __all__ = [
     "DiffusionPath",
@@ -55,7 +56,11 @@ class DiffusionPath:
 
 @dataclass
 class SufficientStats:
-    """Terminal (y, j) of a path, optionally windowed, plus context."""
+    """Terminal (y, j) of a path, optionally windowed, plus context.
+
+    y (p,) with j (p, p) holds one path; y (R, p) with j (R, p, p) stacks R
+    paths that share t, window and x0.
+    """
 
     y: np.ndarray
     j: np.ndarray
@@ -66,7 +71,7 @@ class SufficientStats:
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
         self.j = np.asarray(self.j, dtype=float)
-        if self.j.shape != (len(self.y), len(self.y)):
+        if self.y.ndim not in (1, 2) or self.j.shape != self.y.shape + self.y.shape[-1:]:
             raise ValueError("j must be square and match y")
 
 
@@ -119,24 +124,6 @@ def n_threads() -> int:
     return value
 
 
-def _drift_fn(spec: ModelSpec, theta: ParamVector):
-    """Vectorized drift closure, or None when the drift vanishes identically."""
-    if theta.theta1 == 0.0 and all(c == 0.0 for c in theta.theta2):
-        return None
-    coefs = theta.theta2
-    funcs = spec.basis.funcs
-    t1 = theta.theta1
-
-    def drift(x):
-        out = t1 * principal_f1(x)
-        for c, f in zip(coefs, funcs):
-            if c != 0.0:
-                out = out + c * f(x)
-        return out
-
-    return drift
-
-
 def _default_block(lanes: int) -> int:
     return max(256, min(65536, 2_000_000 // max(lanes, 1)))
 
@@ -150,16 +137,56 @@ def _mirror_upper(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _simulate_chunk(args) -> dict:
+def _add_stats(evals, xl, dx, y, jj, window=None):
+    """Add one block's left-point sums to y (L, p) and the upper triangle of jj.
+
+    evals[i] is psi_i at the left points xl (L, b), dx the increments; with a
+    window, only steps that start inside it count.
+    """
+    if window is not None:
+        mask = (xl >= window[0]) & (xl <= window[1])
+        evals = [e * mask for e in evals]
+    p = len(evals)
+    for i in range(p):
+        y[:, i] += (evals[i] * dx).sum(axis=1)
+        for l in range(i, p):
+            jj[:, i, l] += (evals[i] * evals[l]).sum(axis=1)
+
+
+def _scaled_stats(y, jj, sigma: float, dt: float):
+    """(y, J) from the raw sums: J mirrored from its upper triangle (in place)."""
+    return y * (1.0 / sigma**2), _mirror_upper(jj) * (dt / sigma**2)
+
+
+def _scan_crossings(up, dn, mode):
+    """Alternating crossing scan over sorted index arrays.
+
+    Mode 0 awaits the next index in up (above the threshold), mode 1 the next
+    one in dn (below zero).  Returns the dn indices that close a cycle and the
+    mode at the end, from which the scan of the next block continues.
+    """
+    hits = []
+    pos = -1
+    while True:
+        idx = up if mode == 0 else dn
+        k = np.searchsorted(idx, pos + 1)
+        if k == len(idx):
+            return hits, mode
+        pos = idx[k]
+        if mode == 1:
+            hits.append(pos)
+        mode = 1 - mode
+
+
+def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
+                    want_stats, want_cycles, threshold, checkpoint_steps,
+                    store_path, block_steps) -> dict:
     """Simulate lanes [lane_lo, lane_hi) and return their accumulations.
 
-    Top-level function with a single picklable argument tuple so chunks can
-    run in worker processes.  Lane indices are global, so results do not
-    depend on how lanes are chunked.
+    Module level so that a partial of it can run in worker processes.  Lane
+    indices are global, so results do not depend on how lanes are chunked.
     """
-    (spec, theta, n_steps, dt, seed, lane_lo, lane_hi, window, want_stats,
-     want_cycles, threshold, checkpoint_steps, store_path, block_steps) = args
-
+    lane_lo, lane_hi = lane_span
     lanes = lane_hi - lane_lo
     rngs = [lane_rng(seed, lane) for lane in range(lane_lo, lane_hi)]
     sig_sqdt = spec.sigma * math.sqrt(dt)
@@ -175,79 +202,56 @@ def _simulate_chunk(args) -> dict:
         y_win = np.zeros((lanes, p)) if window is not None else None
         j_win = np.zeros((lanes, p, p)) if window is not None else None
     if want_cycles:
-        mode = np.zeros(lanes, dtype=np.int8)  # 0: await upcross, 1: await downcross
+        mode = [0] * lanes  # 0: await upcross, 1: await downcross
         r_times = [[] for _ in range(lanes)]
     if store_path:
         paths = np.empty((lanes, n_steps + 1))
         paths[:, 0] = x
     checkpoints = {}
     ck_iter = list(checkpoint_steps) if want_stats else []
-
-    def snapshot(step):
-        checkpoints[step * dt] = (y.copy(), _mirror_upper(jj.copy()))
+    # block buffers, reused by every block; pb holds x after each step, xl before
+    width = min(block_steps, n_steps)
+    z = np.empty((lanes, width))
+    pb = np.empty((lanes, width))
+    xl = np.empty((lanes, width))
 
     done = 0
     boundaries = sorted(set(ck_iter) | {n_steps})
     for bound in boundaries:
         while done < bound:
             b = min(block_steps, bound - done)
-            z = np.empty((lanes, b))
-            for i in range(lanes):
-                z[i] = rngs[i].standard_normal(b)
-            z *= sig_sqdt
+            zb, pbb, xlb = z[:, :b], pb[:, :b], xl[:, :b]
+            for rng, row in zip(rngs, z):
+                rng.standard_normal(out=row[:b])
+            zb *= sig_sqdt
             if drift is None:
-                pb = np.cumsum(z, axis=1)
-                pb += x[:, None]
-                if want_stats or store_path:
-                    xl = np.empty((lanes, b))
-                    xl[:, 0] = x
-                    xl[:, 1:] = pb[:, :-1]
+                np.cumsum(zb, axis=1, out=pbb)
+                pbb += x[:, None]
+                if want_stats:
+                    xlb[:, 0] = x
+                    xlb[:, 1:] = pbb[:, :-1]
             else:
-                xl = np.empty((lanes, b))
-                pb = np.empty((lanes, b))
                 cur = x
                 for k in range(b):
-                    xl[:, k] = cur
-                    cur = cur + drift(cur) * dt + z[:, k]
-                    pb[:, k] = cur
+                    xlb[:, k] = cur
+                    cur = cur + drift(cur) * dt + zb[:, k]
+                    pbb[:, k] = cur
             if want_stats:
-                dx = pb - xl
-                evals = [f(xl) for f in psis]
-                for i in range(p):
-                    y[:, i] += (evals[i] * dx).sum(axis=1)
-                    for l in range(i, p):
-                        jj[:, i, l] += (evals[i] * evals[l]).sum(axis=1)
+                dx = pbb - xlb
+                evals = [f(xlb) for f in psis]
+                _add_stats(evals, xlb, dx, y, jj)
                 if window is not None:
-                    mask = (xl >= window[0]) & (xl <= window[1])
-                    wevals = [e * mask for e in evals]
-                    for i in range(p):
-                        y_win[:, i] += (wevals[i] * dx).sum(axis=1)
-                        for l in range(i, p):
-                            j_win[:, i, l] += (wevals[i] * wevals[l]).sum(axis=1)
+                    _add_stats(evals, xlb, dx, y_win, j_win, window)
             if want_cycles:
-                up = pb > threshold
-                dn = pb < 0.0
+                up = pbb > threshold
+                dn = pbb < 0.0
                 for i in range(lanes):
-                    ui = np.flatnonzero(up[i])
-                    di = np.flatnonzero(dn[i])
-                    pos = -1
-                    while True:
-                        if mode[i] == 0:
-                            k = np.searchsorted(ui, pos + 1)
-                            if k == len(ui):
-                                break
-                            pos = ui[k]
-                            mode[i] = 1
-                        else:
-                            k = np.searchsorted(di, pos + 1)
-                            if k == len(di):
-                                break
-                            pos = di[k]
-                            mode[i] = 0
-                            r_times[i].append((done + pos + 1) * dt)
+                    hits, mode[i] = _scan_crossings(np.flatnonzero(up[i]),
+                                                    np.flatnonzero(dn[i]), mode[i])
+                    r_times[i].extend((done + h + 1) * dt for h in hits)
             if store_path:
-                paths[:, done + 1:done + b + 1] = pb
-            x = np.array(pb[:, b - 1])
+                paths[:, done + 1:done + b + 1] = pbb
+            x = np.array(pbb[:, b - 1])
             if not np.isfinite(x).all():
                 raise SimulationDivergedError(
                     "simulated state became non-finite; this should not happen "
@@ -255,22 +259,13 @@ def _simulate_chunk(args) -> dict:
                 )
             done += b
         if done in ck_iter:
-            snapshot(done)
+            checkpoints[done * dt] = _scaled_stats(y, jj.copy(), spec.sigma, dt)
 
-    scale_y = 1.0 / spec.sigma**2
-    scale_j = dt / spec.sigma**2
     if want_stats:
-        _mirror_upper(jj)
+        out["y"], out["j"] = _scaled_stats(y, jj, spec.sigma, dt)
         if window is not None:
-            _mirror_upper(j_win)
-        out["y"] = y * scale_y
-        out["j"] = jj * scale_j
-        if window is not None:
-            out["y_win"] = y_win * scale_y
-            out["j_win"] = j_win * scale_j
-        out["checkpoints"] = {
-            t: (sy * scale_y, sj * scale_j) for t, (sy, sj) in checkpoints.items()
-        }
+            out["y_win"], out["j_win"] = _scaled_stats(y_win, j_win, spec.sigma, dt)
+        out["checkpoints"] = checkpoints
     if want_cycles:
         out["r_times"] = [np.array(r) for r in r_times]
     if store_path:
@@ -299,6 +294,9 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run replications in lock-step and collect the requested functionals."""
     require_valid_theta(spec, theta)
+    for name, value in (("horizon", horizon), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if horizon < 0 or (horizon > 0 and dt > horizon):
@@ -316,20 +314,20 @@ def run_ensemble(
 
     threads = n_threads() if threads is None else max(1, threads)
     bounds = np.linspace(0, replications, min(threads, replications) + 1).astype(int)
-    chunks = [
-        (spec, theta, n_steps, dt, seed, rep_offset + int(lo), rep_offset + int(hi),
-         window, want_stats, want_cycles, threshold, checkpoint_steps,
-         store_path, block_steps)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    if len(chunks) == 1:
-        results = [_simulate_chunk(chunks[0])]
+    spans = [(rep_offset + int(lo), rep_offset + int(hi))
+             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    chunk = functools.partial(
+        _simulate_chunk, spec=spec, theta=theta, n_steps=n_steps, dt=dt, seed=seed,
+        window=window, want_stats=want_stats, want_cycles=want_cycles,
+        threshold=threshold, checkpoint_steps=checkpoint_steps,
+        store_path=store_path, block_steps=block_steps)
+    if len(spans) == 1:
+        results = [chunk(spans[0])]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(_simulate_chunk, chunks))
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+            results = list(pool.map(chunk, spans))
 
     res = EnsembleResult(replications=replications, horizon=horizon, dt=dt)
     res.threshold = threshold
@@ -379,22 +377,13 @@ def accumulate_stats(spec: ModelSpec, path: DiffusionPath,
     if vals.size < 1:
         raise ValueError("path must contain at least its starting point")
     psis = (principal_f1,) + spec.basis.funcs
-    p = len(psis)
-    xl = vals[:-1]
-    dx = np.diff(vals)
-    evals = [f(xl) for f in psis]
-    if window is not None:
-        mask = (xl >= window[0]) & (xl <= window[1])
-        evals = [e * mask for e in evals]
-    y = np.empty(p)
-    j = np.empty((p, p))
-    for i in range(p):
-        y[i] = (evals[i] * dx).sum() / spec.sigma**2
-        for l in range(i, p):
-            j[i, l] = j[l, i] = (evals[i] * evals[l]).sum() * path.dt / spec.sigma**2
-    t = len(xl) * path.dt
-    x0 = float(vals[0])
-    return SufficientStats(y=y, j=j, t=t, window=window, x0=x0)
+    xl = vals[None, :-1]
+    y = np.zeros((1, len(psis)))
+    j = np.zeros((1, len(psis), len(psis)))
+    _add_stats([f(xl) for f in psis], xl, np.diff(vals)[None], y, j, window)
+    y, j = _scaled_stats(y, j, spec.sigma, path.dt)
+    return SufficientStats(y=y[0], j=j[0], t=xl.size * path.dt, window=window,
+                           x0=float(vals[0]))
 
 
 def score_at(stats: SufficientStats, theta) -> np.ndarray:
@@ -415,25 +404,8 @@ def detect_life_cycles(spec: ModelSpec, theta: ParamVector,
     threshold = scale_inverse(spec, theta, 1.0)
     vals = np.asarray(path.values, dtype=float)
     inner = vals[1:]
-    up = np.flatnonzero(inner > threshold)
-    dn = np.flatnonzero(inner < 0.0)
-    r_idx = []
-    pos = -1
-    mode = 0
-    while True:
-        if mode == 0:
-            k = np.searchsorted(up, pos + 1)
-            if k == len(up):
-                break
-            pos = up[k]
-            mode = 1
-        else:
-            k = np.searchsorted(dn, pos + 1)
-            if k == len(dn):
-                break
-            pos = dn[k]
-            mode = 0
-            r_idx.append(pos + 1)
-    r_times = np.array(r_idx, dtype=float) * path.dt
+    hits, _ = _scan_crossings(np.flatnonzero(inner > threshold),
+                              np.flatnonzero(inner < 0.0), 0)
+    r_times = (np.array(hits, dtype=float) + 1.0) * path.dt
     durations = np.diff(r_times)
     return LifeCycleRecord(r_times=r_times, durations=durations, threshold=threshold)

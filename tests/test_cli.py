@@ -117,6 +117,17 @@ def test_simulate_rejects_bad_theta(capsys):
     assert "theta1" in err
 
 
+@pytest.mark.parametrize("flag, value", [("horizon", "inf"), ("dt", "nan")])
+def test_simulate_rejects_non_finite(capsys, flag, value):
+    argv = {"horizon": "1", "dt": "0.1"}
+    argv[flag] = value
+    code, _, err = run_cli(capsys, "simulate", "--sigma", "1", "--theta1", "0",
+                           "--horizon", argv["horizon"], "--dt", argv["dt"],
+                           "--seed", "1")
+    assert code == 2
+    assert flag in err
+
+
 def test_limits_draws_csv(tmp_path, capsys):
     cov_file = tmp_path / "cov.json"
     cov_file.write_text(json.dumps([[math.pi / 2]]))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,50 @@ def test_restricted_monte_carlo_consistency(spec_sinc):
     med_se = 1.2533 * ests.std(axis=0, ddof=1) / np.sqrt(len(ests))
     for c, target in enumerate(truth.as_array()):
         assert abs(med[c] - target) <= 3.0 * med_se[c]
+
+
+# ---------------------------------------------------------------- stacked
+
+def _stacked_ensemble(spec_sinc):
+    """Ensemble statistics plus gated rows: a zero J and single Euler steps."""
+    from nullrec import run_ensemble
+
+    th = ParamVector(0.1, (-0.3,))
+    win = (-2.0, 2.0)
+    long = run_ensemble(spec_sinc, th, 20.0, 1e-2, 3, 12, window=win)
+    short = run_ensemble(spec_sinc, th, 1.0, 1.0, 3, 3, window=win)
+    zero_y, zero_j = np.ones((1, 2)), np.zeros((1, 2, 2))
+    line = (np.concatenate([long.y, short.y, zero_y]),
+            np.concatenate([long.j, short.j, zero_j]))
+    windowed = (np.concatenate([long.y_win, short.y_win, zero_y]),
+                np.concatenate([long.j_win, short.j_win, zero_j]))
+    return line, windowed, win
+
+
+def test_stacked_mle_equals_per_record(spec_sinc):
+    (y, j), (yw, jw), win = _stacked_ensemble(spec_sinc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = mle(stats_of(y, j, t=20.0))
+        stacked_w = restricted_mle(stats_of(yw, jw, t=20.0, window=win))
+    for est, ys, js, window in ((stacked, y, j, None), (stacked_w, yw, jw, win)):
+        assert est.theta_hat.shape == ys.shape
+        assert est.j_invertible.shape == est.conditioning.shape == (len(ys),)
+        assert 0 < np.count_nonzero(est.j_invertible) < len(ys)
+        for i in range(len(ys)):
+            one = mle(stats_of(ys[i], js[i], t=20.0, window=window))
+            assert type(one.j_invertible) is bool and type(one.conditioning) is float
+            np.testing.assert_array_equal(est.theta_hat[i], one.theta_hat)
+            assert est.j_invertible[i] == one.j_invertible
+            assert est.conditioning[i] == one.conditioning
+        np.testing.assert_array_equal(est.theta_hat[~est.j_invertible], 0.0)
+
+
+def test_stacked_stats_shapes_checked():
+    with pytest.raises(ValueError):
+        stats_of(np.zeros((3, 2)), np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError):
+        stats_of(np.zeros((3, 2)), np.zeros((2, 2, 2)))
 
 
 # ------------------------------------------------------------------ naive

@@ -229,3 +229,30 @@ def test_n_threads_rejects_malformed(monkeypatch, raw):
     monkeypatch.setenv("NULLREC_THREADS", raw)
     with pytest.raises(ValueError, match=repr(raw)):
         n_threads()
+
+
+def test_block_size_does_not_change_results(spec_sinc):
+    # 977-step blocks leave a partial last block and put the checkpoint mid-block
+    th = ParamVector(0.1, (-0.3,))
+    kwargs = dict(window=(-1.0, 1.5), want_cycles=True, threshold=0.5,
+                  checkpoint_times=(12.34,))
+    base = run_ensemble(spec_sinc, th, 30.0, 1e-2, 41, 3, **kwargs)
+    small = run_ensemble(spec_sinc, th, 30.0, 1e-2, 41, 3, block_steps=977, **kwargs)
+    np.testing.assert_array_equal(small.final_x, base.final_x)
+    for key in ("y", "j", "y_win", "j_win"):
+        np.testing.assert_allclose(getattr(small, key), getattr(base, key), rtol=1e-12)
+    assert small.checkpoints.keys() == base.checkpoints.keys() == {12.34}
+    for got, want in zip(small.checkpoints[12.34], base.checkpoints[12.34]):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert sum(r.size for r in base.r_times) > 0
+    for got, want in zip(small.r_times, base.r_times):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name, horizon, dt", [("horizon", np.inf, 0.01),
+                                                ("horizon", np.nan, 0.01),
+                                                ("dt", 1.0, np.nan),
+                                                ("dt", 1.0, np.inf)])
+def test_non_finite_horizon_or_dt_rejected(spec_plain, theta_zero, name, horizon, dt):
+    with pytest.raises(ValueError, match=name):
+        run_ensemble(spec_plain, theta_zero, horizon, dt, 1, 1)
