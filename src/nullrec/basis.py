@@ -19,14 +19,10 @@ from __future__ import annotations
 import functools
 import math
 import re
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import sici
-
-from .errors import QuadratureError
+from scipy.special import exp1, expi, sici
 
 __all__ = ["DriftBasis", "make_basis", "principal_f1", "sinc"]
 
@@ -62,16 +58,37 @@ def _f1_cos(x, k):
     return x / (1.0 + x * x) * np.cos(k * x)
 
 
+def _f1_trig_antideriv(x, k):
+    """int_0^x f1(t) exp(ikt) dt = F_cos,k(x) + i F_sin,k(x), in closed form.
+
+    With f1(t) = (1/(t+i) + 1/(t-i)) / 2 the two halves are exponential
+    integrals (DLMF 6.2) whose arguments k -+ ikx keep real part k > 0, off
+    the branch cut.
+    """
+    ikx = 1j * k * np.asarray(x, dtype=float)
+    return 0.5 * (math.exp(k) * (exp1(k) - exp1(k - ikx))
+                  + math.exp(-k) * (expi(k + ikx) - expi(k)))
+
+
+def _f1_sin_antideriv(x, k):
+    return _f1_trig_antideriv(x, k).imag
+
+
+def _f1_cos_antideriv(x, k):
+    return _f1_trig_antideriv(x, k).real
+
+
 @dataclass(frozen=True)
 class DriftBasis:
-    """Secondary drift directions plus cached antiderivative limits.
+    """Secondary drift directions plus their antiderivative limits.
 
-    funcs[nu] is f_{2,nu+1}; antiderivs[nu] is its closed-form antiderivative
-    when one exists, else None and quadrature is used.  osc[nu] is either None
-    or ("sin"|"cos", frequency, envelope) with f_{2,nu+1}(x) =
-    envelope(x)*sin/cos(frequency*x) for large |x|, so antiderivative tails
-    beyond the direct-quadrature range and moment tails beyond the panels can
-    be finished with a weighted (QAWF-style) rule.  The moment error bound
+    funcs[nu] is f_{2,nu+1}; antiderivs[nu] is its antiderivative
+    F_{2,nu+1}(x) = int_0^x f_{2,nu+1}, a required vectorized callable.
+    osc[nu] serves only the whole-line moment tails: either None or
+    ("sin"|"cos", frequency, envelope) with f_{2,nu+1}(x) =
+    envelope(x)*sin/cos(frequency*x) for large |x|, so the moment tails
+    beyond the panels can be finished with a weighted (QAWF-style) rule.
+    Without it whole-line moments raise.  The moment error bound
     needs, on each ray beyond the panels, an envelope that is monotone with a
     monotone derivative, |envelope(x)| <= 1/|x| and |envelope'(x)| <= 1/x^2.
     f_limit_pos/neg store F_{2,nu}(+inf) and F_{2,nu}(-inf).
@@ -90,6 +107,8 @@ class DriftBasis:
             raise ValueError("antiderivative limits must match basis size")
         if len(self.antiderivs) != m or len(self.osc) != m:
             raise ValueError("antiderivs/osc metadata must match basis size")
+        if not all(callable(F) for F in self.antiderivs):
+            raise ValueError("every basis function needs a callable antiderivative")
         if not all(math.isfinite(v) for v in self.f_limit_pos + self.f_limit_neg):
             raise ValueError("antiderivative limits must be finite")
 
@@ -98,39 +117,27 @@ class DriftBasis:
         return len(self.funcs)
 
 
-@functools.lru_cache(maxsize=None)
-def _fourier_limit(kind: str, k: int) -> float:
-    """int_0^inf f1(x) sin/cos(kx) dx by an oscillation-weighted rule."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, abserr = quad(principal_f1, 0.0, np.inf, weight=kind, wvar=float(k))
-    if not math.isfinite(val) or abserr > 1e-6:
-        raise QuadratureError(
-            f"tail quadrature for fourier {kind}(k={k}) did not converge "
-            f"(abserr={abserr:.2e})"
-        )
-    return val
-
-
 def _fourier_basis(ell: int) -> DriftBasis:
-    funcs, limits_pos, limits_neg, osc = [], [], [], []
+    funcs, antiderivs, limits_pos, limits_neg, osc = [], [], [], [], []
     for k in range(1, ell + 1):
         # slot 2k-1: f1 sin(kx), even function, odd antiderivative
         funcs.append(functools.partial(_f1_sin, k=k))
-        lim = _fourier_limit("sin", k)
+        antiderivs.append(functools.partial(_f1_sin_antideriv, k=k))
+        lim = 0.5 * math.pi * math.exp(-k)
         limits_pos.append(lim)
         limits_neg.append(-lim)
         osc.append(("sin", float(k), principal_f1))
         # slot 2k: f1 cos(kx), odd function, even antiderivative
         funcs.append(functools.partial(_f1_cos, k=k))
-        lim = _fourier_limit("cos", k)
+        antiderivs.append(functools.partial(_f1_cos_antideriv, k=k))
+        lim = float(0.5 * (math.exp(k) * exp1(k) - math.exp(-k) * expi(k)))
         limits_pos.append(lim)
         limits_neg.append(lim)
         osc.append(("cos", float(k), principal_f1))
     return DriftBasis(
         name=f"fourier-{ell}",
         funcs=tuple(funcs),
-        antiderivs=(None,) * (2 * ell),
+        antiderivs=tuple(antiderivs),
         f_limit_pos=tuple(limits_pos),
         f_limit_neg=tuple(limits_neg),
         osc=tuple(osc),
@@ -154,7 +161,8 @@ def make_basis(name: str) -> DriftBasis:
     match = re.fullmatch(r"fourier-(\d+)", name)
     if match:
         ell = int(match.group(1))
-        if ell < 1:
-            raise ValueError("fourier basis order must be >= 1")
+        # e^k and E1(k) stay normal floats up to k = 700
+        if not 1 <= ell <= 700:
+            raise ValueError("fourier basis order must lie in 1..700")
         return _fourier_basis(ell)
     raise ValueError(f"unknown basis name {name!r}")

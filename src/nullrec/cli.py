@@ -149,11 +149,8 @@ def _validate(config: CliConfig) -> None:
     if config.subcommand in ("simulate", "check") and get("seed") < 0:
         # lane_rng would mask a negative seed to 64 bits without a word
         raise UsageError("--seed must be nonnegative")
-    if config.subcommand == "limits":
-        if not 0.0 < get("alpha") < 1.0:
-            raise UsageError("--alpha must lie in (0, 1)")
-        if get("n") < 1:
-            raise UsageError("--n must be >= 1")
+    if config.subcommand == "limits" and get("n") < 1:
+        raise UsageError("--n must be >= 1")
 
 
 def _model_from(config: CliConfig):

@@ -42,11 +42,6 @@ __all__ = [
     "theta_in_domain",
 ]
 
-# Direct quadrature range for antiderivatives without closed form; beyond it
-# the cached limit plus an oscillation-weighted tail integral is used.
-_F_DIRECT_RANGE = 200.0
-_F_PANEL = 25.0
-
 # Error bound on every moment, for mu_integral and each mu_moment_matrix entry.
 _MU_TOL = 1e-8
 
@@ -199,74 +194,12 @@ def _quad_checked(f, a, b, *, epsabs=1e-11, epsrel=1e-11, limit=200, what=""):
     return val, abserr
 
 
-def _antideriv_scalar(basis: DriftBasis, nu: int, x: float) -> float:
-    """F_{2,nu}(x) for one point; nu is 1-based."""
-    idx = nu - 1
-    analytic = basis.antiderivs[idx]
-    if analytic is not None:
-        return float(analytic(x))
-    if x == 0.0:
-        return 0.0
-    f = basis.funcs[idx]
-    sgn = 1.0 if x > 0 else -1.0
-    ax = abs(x)
-    if ax <= _F_DIRECT_RANGE:
-        # panelled to keep per-call oscillation counts small
-        edges = np.arange(0.0, ax, _F_PANEL)
-        edges = np.append(edges, ax)
-        total = 0.0
-        err = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            v, e = _quad_checked(f, sgn * lo, sgn * hi, limit=100,
-                                 what=f"F_{nu} on panel")
-            total += v
-            err += e
-        if err > 1e-7:
-            raise QuadratureError(
-                f"antiderivative F_{nu}({x}) quadrature error {err:.2e}"
-            )
-        return total
-    # beyond direct range: limit minus the oscillatory tail
-    osc = basis.osc[idx]
-    if osc is None:
-        raise QuadratureError(
-            f"F_{nu}({x}) beyond |x| = {_F_DIRECT_RANGE:g} needs the tail form "
-            f"(basis.osc) of f_{nu}"
-        )
-    limit_val = basis.f_limit_pos[idx] if x > 0 else basis.f_limit_neg[idx]
-    kind, wvar, envelope = osc
-    if x > 0:
-        # F(x) = F(+inf) - int_x^inf env(y) sin/cos(w y) dy
-        g = envelope
-    else:
-        # F(x) = F(-inf) + int_|x|^inf f(-t) dt with
-        # f(-t) = -env(-t) sin(w t)  or  env(-t) cos(w t)
-        if kind == "sin":
-            def g(y, _env=envelope):
-                return -_env(-y)
-        else:
-            def g(y, _env=envelope):
-                return _env(-y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        tail, abserr = quad(g, ax, np.inf, weight=kind, wvar=wvar)
-    if not math.isfinite(tail) or abserr > 1e-6:
-        raise QuadratureError(f"tail quadrature for F_{nu}({x}) failed")
-    return float(limit_val) - sgn * tail
-
-
 def antiderivative_F(spec: ModelSpec, nu: int, x):
     """F_{2,nu}(x) = int_0^x f_{2,nu}(y) dy; nu is 1-based; vectorized in x."""
     if not 1 <= nu <= spec.m:
         raise ValueError(f"nu={nu} out of range 1..{spec.m}")
-    analytic = spec.basis.antiderivs[nu - 1]
-    if analytic is not None:
-        out = np.asarray(analytic(np.asarray(x, dtype=float)))
-        return out if out.shape else float(out)
-    xa = np.asarray(x, dtype=float)
-    if xa.shape:
-        return np.array([_antideriv_scalar(spec.basis, nu, float(v)) for v in xa.ravel()]).reshape(xa.shape)
-    return _antideriv_scalar(spec.basis, nu, float(xa))
+    out = np.asarray(spec.basis.antiderivs[nu - 1](np.asarray(x, dtype=float)))
+    return out if out.shape else float(out)
 
 
 def _f_sum(spec: ModelSpec, lam2: np.ndarray, x):

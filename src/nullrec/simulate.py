@@ -50,8 +50,6 @@ class DiffusionPath:
     values: np.ndarray
     horizon: float
     seed: int
-    spec_ref: str = ""
-    theta_ref: str = ""
 
 
 @dataclass
@@ -360,14 +358,7 @@ def simulate_path(spec: ModelSpec, theta: ParamVector, horizon: float, dt: float
     """One trajectory on the grid 0, dt, ..., floor(horizon/dt)*dt."""
     res = run_ensemble(spec, theta, horizon, dt, seed, 1,
                        want_stats=False, store_path=True, threads=1)
-    return DiffusionPath(
-        dt=dt,
-        values=res.paths[0],
-        horizon=horizon,
-        seed=seed,
-        spec_ref=f"sigma={spec.sigma},basis={spec.basis.name},x0={spec.x0}",
-        theta_ref=f"theta1={theta.theta1},theta2={list(theta.theta2)}",
-    )
+    return DiffusionPath(dt=dt, values=res.paths[0], horizon=horizon, seed=seed)
 
 
 def accumulate_stats(spec: ModelSpec, path: DiffusionPath,

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from nullrec import make_basis
 from nullrec.basis import principal_f1
@@ -47,13 +49,26 @@ def test_fourier_basis_layout_and_parity():
                                    atol=1e-15)
 
 
-def test_fourier_sin_limits_match_closed_form():
-    # int_0^inf x sin(kx)/(1+x^2) dx = (pi/2) exp(-k)
+def _qawf_limit(kind, k):
+    """int_0^inf f1(x) sin/cos(kx) dx by QUADPACK's Fourier-weighted rule."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        val, abserr = quad(principal_f1, 0.0, np.inf, weight=kind, wvar=float(k))
+    assert abserr <= 1e-6
+    return val
+
+
+def test_fourier_limits_match_closed_form():
+    # int_0^inf x sin(kx)/(1+x^2) dx = (pi/2) exp(-k); the cosine limits
+    # against an independent oscillation-weighted quadrature
     b = make_basis("fourier-3")
     for k in (1, 2, 3):
         slot = 2 * (k - 1)
-        assert b.f_limit_pos[slot] == pytest.approx(np.pi / 2 * np.exp(-k), abs=1e-7)
+        assert b.f_limit_pos[slot] == pytest.approx(np.pi / 2 * np.exp(-k), abs=1e-15)
+        assert b.f_limit_pos[slot] == pytest.approx(_qawf_limit("sin", k), abs=1e-9)
         assert b.f_limit_neg[slot] == pytest.approx(-b.f_limit_pos[slot])
+        assert b.f_limit_pos[slot + 1] == pytest.approx(_qawf_limit("cos", k), abs=1e-9)
+        assert b.f_limit_neg[slot + 1] == b.f_limit_pos[slot + 1]
 
 
 def test_fourier_cos_limits_even():
@@ -67,6 +82,8 @@ def test_unknown_basis_rejected():
         make_basis("chebyshev")
     with pytest.raises(ValueError):
         make_basis("fourier-0")
+    with pytest.raises(ValueError):
+        make_basis("fourier-701")
 
 
 def test_none_basis_empty():

@@ -19,6 +19,7 @@ from nullrec.cli import emit_report
 GOLDEN = Path(__file__).parent / "golden"
 
 # the smoke sizes of test_harness.py, plus a rate run with gated replications
+# and an rlt run on the fourier basis (whole-line moments through its F)
 CONFIGS = {
     "identity": dict(kind="identity", theta1=0.1, theta2=(-0.3,), horizons=(20,),
                      dt=1e-2, replications=10, master_seed=5),
@@ -33,6 +34,8 @@ CONFIGS = {
                  max_waves=4),
     "rlt": dict(kind="rlt", theta1=0.0, theta2=(0.5,), horizons=(200,), dt=1e-2,
                 replications=6, master_seed=13),
+    "rlt_fourier": dict(kind="rlt", basis="fourier-1", theta1=0.0, theta2=(0.3, 0.2),
+                        horizons=(200,), dt=1e-2, replications=6, master_seed=13),
     "risk": dict(kind="risk", theta1=0.0, theta2=(0.3,), horizons=(50,), dt=1e-2,
                  replications=12, master_seed=17, window=(-2.0, 2.0),
                  bound_draws=4000),

@@ -21,7 +21,7 @@ from nullrec import (
     scale_function,
     scale_inverse,
 )
-from nullrec.basis import DriftBasis, sinc
+from nullrec.basis import DriftBasis, si, sinc
 from nullrec.errors import DegenerateWindowError, QuadratureError
 from nullrec.model import (
     _GK_WG,
@@ -71,8 +71,7 @@ def test_antiderivative_sinc_limit(spec_sinc):
 
 def test_antiderivative_fourier_parity():
     spec = ModelSpec.from_names(1.0, "fourier-2")
-    # slot 2 holds f1*cos(x): odd integrand, even antiderivative;
-    # 500 exercises the weighted tail path, the rest direct quadrature
+    # slot 2 holds f1*cos(x): odd integrand, even antiderivative
     for x in (0.7, 3.0, 40.0, 500.0):
         assert antiderivative_F(spec, 2, x) == pytest.approx(
             antiderivative_F(spec, 2, -x), abs=1e-9)
@@ -82,23 +81,21 @@ def test_antiderivative_fourier_parity():
             -antiderivative_F(spec, 1, -x), abs=1e-9)
 
 
-def test_antiderivative_tail_branch_continuous():
-    # the weighted-tail evaluation must agree with direct panel quadrature
-    # on both sides of the direct-range cutoff
-    spec = ModelSpec.from_names(1.0, "fourier-1")
-    for nu in (1, 2):
-        below = antiderivative_F(spec, nu, 199.9)
-        above = antiderivative_F(spec, nu, 200.1)
-        assert above == pytest.approx(below, abs=2e-3)
-        below = antiderivative_F(spec, nu, -199.9)
-        above = antiderivative_F(spec, nu, -200.1)
-        assert above == pytest.approx(below, abs=2e-3)
+def _panelled_quad(f, x):
+    """int_0^x f by QUADPACK on panels of width at most 5."""
+    edges = np.linspace(0.0, x, int(math.ceil(abs(x) / 5.0)) + 1)
+    return sum(quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 def test_antiderivative_fourier_matches_direct_quad():
-    spec = ModelSpec.from_names(1.0, "fourier-1")
-    ref, _ = quad(lambda y: y / (1 + y * y) * np.sin(y), 0, 8.0, limit=200)
-    assert antiderivative_F(spec, 1, 8.0) == pytest.approx(ref, abs=1e-9)
+    # the closed form against panelled quadrature, near the origin and far out
+    spec = ModelSpec.from_names(1.0, "fourier-2")
+    xs = (0.7, 8.0, 199.9, 200.1, 500.0)
+    for nu, f in enumerate(spec.basis.funcs, start=1):
+        for x in xs + tuple(-v for v in xs):
+            ref = _panelled_quad(lambda y: float(f(y)), x)
+            assert antiderivative_F(spec, nu, x) == pytest.approx(ref, abs=1e-9)
 
 
 def test_antiderivative_fourier_far_tail_consistent():
@@ -111,16 +108,16 @@ def test_antiderivative_fourier_far_tail_consistent():
 
 
 def test_antiderivative_without_tail_form_raises():
-    # no closed form and no osc metadata: beyond the direct range there is
-    # nothing to finish F with, so it must not fall back to the limit
-    basis = DriftBasis(name="bare-sinc", funcs=(sinc,), antiderivs=(None,),
+    # every basis function needs an antiderivative; without the tail form
+    # (osc) the whole-line moments have nothing to finish the rays with
+    with pytest.raises(ValueError):
+        DriftBasis(name="bare-sinc", funcs=(sinc,), antiderivs=(None,),
+                   f_limit_pos=(np.pi / 2,), f_limit_neg=(-np.pi / 2,),
+                   osc=(None,))
+    basis = DriftBasis(name="bare-sinc", funcs=(sinc,), antiderivs=(si,),
                        f_limit_pos=(np.pi / 2,), f_limit_neg=(-np.pi / 2,),
                        osc=(None,))
     spec = ModelSpec(sigma=1.0, basis=basis)
-    assert antiderivative_F(spec, 1, 3.0) == pytest.approx(1.8486525279994681, abs=1e-9)
-    for x in (500.0, -500.0):
-        with pytest.raises(QuadratureError):
-            antiderivative_F(spec, 1, x)
     with pytest.raises(QuadratureError):
         mu_moment_matrix(spec, ParamVector(0.0, (0.3,)))
 
@@ -333,6 +330,15 @@ def test_moment_matrix_positive_definite_fourier():
     lam = mu_moment_matrix(spec, th, window=(-4.0, 4.0))
     np.linalg.cholesky(lam)
     np.testing.assert_allclose(lam, lam.T)
+
+
+def test_moment_matrix_whole_line_fourier():
+    spec = ModelSpec.from_names(1.0, "fourier-1")
+    th = ParamVector(0.1, (0.2, -0.1))
+    full, est = _moment_matrix_and_error(spec, th)
+    assert est.max() <= 1e-8
+    np.linalg.cholesky(full)
+    np.linalg.cholesky(full - mu_moment_matrix(spec, th, window=(-4.0, 4.0)))
 
 
 def test_moment_matrix_degenerate_window(spec_plain, theta_zero):

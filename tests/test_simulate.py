@@ -3,6 +3,7 @@ import pytest
 
 from nullrec import (
     DiffusionPath,
+    ModelSpec,
     ParameterDomainError,
     ParamVector,
     SufficientStats,
@@ -202,9 +203,13 @@ def test_per_cycle_occupation_identity(spec_plain, theta_zero):
     assert abs(vals.mean() - np.pi) <= 3 * se
 
 
-def test_ensemble_threads_equivalent(spec_sinc, theta_sinc):
-    serial = run_ensemble(spec_sinc, theta_sinc, 5.0, 1e-2, 31, 4, threads=1)
-    split = run_ensemble(spec_sinc, theta_sinc, 5.0, 1e-2, 31, 4, threads=2)
+@pytest.mark.parametrize("basis", ["sinc", "fourier-1"])
+def test_ensemble_threads_equivalent(basis):
+    # the basis partials cross the process boundary with the spec
+    spec = ModelSpec.from_names(1.0, basis)
+    theta = ParamVector(0.0, (0.3, 0.2)[:spec.m])
+    serial = run_ensemble(spec, theta, 5.0, 1e-2, 31, 4, threads=1)
+    split = run_ensemble(spec, theta, 5.0, 1e-2, 31, 4, threads=2)
     np.testing.assert_array_equal(serial.y, split.y)
     np.testing.assert_array_equal(serial.j, split.j)
 
