@@ -81,6 +81,19 @@ def test_antiderivative_fourier_parity():
             -antiderivative_F(spec, 1, -x), abs=1e-9)
 
 
+def test_antiderivative_tail_branch_continuous():
+    # the antiderivative must be continuous on both sides of |x| = 200,
+    # where the far-out evaluation once switched to a weighted tail rule
+    spec = ModelSpec.from_names(1.0, "fourier-1")
+    for nu in (1, 2):
+        below = antiderivative_F(spec, nu, 199.9)
+        above = antiderivative_F(spec, nu, 200.1)
+        assert above == pytest.approx(below, abs=2e-3)
+        below = antiderivative_F(spec, nu, -199.9)
+        above = antiderivative_F(spec, nu, -200.1)
+        assert above == pytest.approx(below, abs=2e-3)
+
+
 def _panelled_quad(f, x):
     """int_0^x f by QUADPACK on panels of width at most 5."""
     edges = np.linspace(0.0, x, int(math.ceil(abs(x) / 5.0)) + 1)
