@@ -20,6 +20,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import exp1, expi, sici
@@ -39,8 +40,8 @@ def sinc(x):
 
 
 def si(x):
-    """Antiderivative of sinc: the sine integral Si(x)."""
-    return sici(np.asarray(x, dtype=float))[0]
+    """Antiderivatives of the sinc basis: the sine integral Si(x), shape (1, ...)."""
+    return sici(np.asarray(x, dtype=float))[0][np.newaxis]
 
 
 def reciprocal(x):
@@ -70,20 +71,19 @@ def _f1_trig_antideriv(x, k):
                   + math.exp(-k) * (expi(k + ikx) - expi(k)))
 
 
-def _f1_sin_antideriv(x, k):
-    return _f1_trig_antideriv(x, k).imag
-
-
-def _f1_cos_antideriv(x, k):
-    return _f1_trig_antideriv(x, k).real
+def _fourier_antiderivs(x, ell):
+    """F_sin,1, F_cos,1, ..., F_sin,L, F_cos,L at x; one closed form per frequency."""
+    zs = [_f1_trig_antideriv(x, k) for k in range(1, ell + 1)]
+    return np.stack([part for z in zs for part in (z.imag, z.real)])
 
 
 @dataclass(frozen=True)
 class DriftBasis:
     """Secondary drift directions plus their antiderivative limits.
 
-    funcs[nu] is f_{2,nu+1}; antiderivs[nu] is its antiderivative
-    F_{2,nu+1}(x) = int_0^x f_{2,nu+1}, a required vectorized callable.
+    funcs[nu] is f_{2,nu+1}.  antiderivs, required when m > 0, is one
+    vectorized callable with antiderivs(x)[nu] = F_{2,nu+1}(x) =
+    int_0^x f_{2,nu+1}, so a family whose members share work evaluates it once.
     osc[nu] serves only the whole-line moment tails: either None or
     ("sin"|"cos", frequency, envelope) with f_{2,nu+1}(x) =
     envelope(x)*sin/cos(frequency*x) for large |x|, so the moment tails
@@ -96,7 +96,7 @@ class DriftBasis:
 
     name: str
     funcs: tuple = ()
-    antiderivs: tuple = ()
+    antiderivs: Optional[Callable] = None
     f_limit_pos: tuple = ()
     f_limit_neg: tuple = ()
     osc: tuple = ()
@@ -105,10 +105,10 @@ class DriftBasis:
         m = len(self.funcs)
         if not (len(self.f_limit_pos) == len(self.f_limit_neg) == m):
             raise ValueError("antiderivative limits must match basis size")
-        if len(self.antiderivs) != m or len(self.osc) != m:
-            raise ValueError("antiderivs/osc metadata must match basis size")
-        if not all(callable(F) for F in self.antiderivs):
-            raise ValueError("every basis function needs a callable antiderivative")
+        if len(self.osc) != m:
+            raise ValueError("osc metadata must match basis size")
+        if m and not callable(self.antiderivs):
+            raise ValueError("a basis needs a callable antiderivs")
         if not all(math.isfinite(v) for v in self.f_limit_pos + self.f_limit_neg):
             raise ValueError("antiderivative limits must be finite")
 
@@ -118,18 +118,16 @@ class DriftBasis:
 
 
 def _fourier_basis(ell: int) -> DriftBasis:
-    funcs, antiderivs, limits_pos, limits_neg, osc = [], [], [], [], []
+    funcs, limits_pos, limits_neg, osc = [], [], [], []
     for k in range(1, ell + 1):
         # slot 2k-1: f1 sin(kx), even function, odd antiderivative
         funcs.append(functools.partial(_f1_sin, k=k))
-        antiderivs.append(functools.partial(_f1_sin_antideriv, k=k))
         lim = 0.5 * math.pi * math.exp(-k)
         limits_pos.append(lim)
         limits_neg.append(-lim)
         osc.append(("sin", float(k), principal_f1))
         # slot 2k: f1 cos(kx), odd function, even antiderivative
         funcs.append(functools.partial(_f1_cos, k=k))
-        antiderivs.append(functools.partial(_f1_cos_antideriv, k=k))
         lim = float(0.5 * (math.exp(k) * exp1(k) - math.exp(-k) * expi(k)))
         limits_pos.append(lim)
         limits_neg.append(lim)
@@ -137,7 +135,7 @@ def _fourier_basis(ell: int) -> DriftBasis:
     return DriftBasis(
         name=f"fourier-{ell}",
         funcs=tuple(funcs),
-        antiderivs=tuple(antiderivs),
+        antiderivs=functools.partial(_fourier_antiderivs, ell=ell),
         f_limit_pos=tuple(limits_pos),
         f_limit_neg=tuple(limits_neg),
         osc=tuple(osc),
@@ -153,7 +151,7 @@ def make_basis(name: str) -> DriftBasis:
         return DriftBasis(
             name="sinc",
             funcs=(sinc,),
-            antiderivs=(si,),
+            antiderivs=si,
             f_limit_pos=(np.pi / 2,),
             f_limit_neg=(-np.pi / 2,),
             osc=(("sin", 1.0, reciprocal),),

@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,32 +24,7 @@ from .limits import LimitLawSpec, make_loss, monte_carlo_risk, rng_stream, sampl
 from .model import ModelSpec, ParamVector, asymptotic_constants, norming, require_valid_theta
 from .simulate import SufficientStats, accumulate_stats, simulate_path
 
-__all__ = ["CliConfig", "parse_config", "dispatch", "emit_report", "main"]
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    options: tuple  # sorted (key, value) pairs; values already typed
-
-    def get(self, key, default=None):
-        return dict(self.options).get(key, default)
-
-    def to_argv(self) -> list:
-        """Canonical argv that parses back to this config."""
-        argv = [self.subcommand]
-        for key, value in self.options:
-            if value is None or value is False:
-                continue
-            flag = "--" + key.replace("_", "-")
-            if value is True:
-                argv.append(flag)
-            elif isinstance(value, (list, tuple)):
-                argv.append(flag)
-                argv.extend(str(v) for v in value)
-            else:
-                argv.extend([flag, str(value)])
-        return argv
+__all__ = ["parse_config", "dispatch", "emit_report", "main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,14 +35,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_model_flags(p, need_theta=True):
+    def add_model_flags(p):
         p.add_argument("--sigma", type=float, required=True)
         p.add_argument("--basis", type=str, default="none",
                        help="none | sinc | fourier-<L>")
         p.add_argument("--x0", type=float, default=0.0)
-        if need_theta:
-            p.add_argument("--theta1", type=float, required=True)
-            p.add_argument("--theta2", type=float, nargs="*", default=[])
+        p.add_argument("--theta1", type=float, required=True)
+        p.add_argument("--theta2", type=float, nargs="*", default=[])
 
     p = sub.add_parser("constants", help="asymptotic constants as JSON")
     add_model_flags(p)
@@ -120,44 +93,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv) -> CliConfig:
-    """Parse argv into a validated CliConfig; argparse exits 2 on bad flags."""
-    ns = _build_parser().parse_args(list(argv))
-    opts = {k: v for k, v in vars(ns).items() if k != "subcommand"}
-    if "theta2" in opts and opts["theta2"] is not None:
-        opts["theta2"] = tuple(opts["theta2"])
-    if opts.get("window") is not None:
-        opts["window"] = tuple(opts["window"])
-    if opts.get("theta") is not None:
-        opts["theta"] = tuple(opts["theta"])
-    config = CliConfig(ns.subcommand, tuple(sorted(opts.items())))
-    _validate(config)
-    return config
+def parse_config(argv) -> argparse.Namespace:
+    """Parse and validate argv; argparse exits 2 on bad flags."""
+    args = _build_parser().parse_args(list(argv))
+    _validate(args)
+    return args
 
 
 class UsageError(NullrecError):
     pass
 
 
-def _validate(config: CliConfig) -> None:
-    get = config.get
-    if config.subcommand in ("constants", "simulate"):
+def _validate(args: argparse.Namespace) -> None:
+    if args.subcommand in ("constants", "simulate"):
         try:
-            require_valid_theta(*_model_from(config))
+            require_valid_theta(*_model_from(args))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    if config.subcommand in ("simulate", "check") and get("seed") < 0:
+    if args.subcommand in ("simulate", "check") and args.seed < 0:
         # lane_rng would mask a negative seed to 64 bits without a word
         raise UsageError("--seed must be nonnegative")
-    if config.subcommand == "limits" and get("n") < 1:
+    if args.subcommand == "limits" and args.n < 1:
         raise UsageError("--n must be >= 1")
+    if args.subcommand == "limits" and args.dim is not None and args.dim < 1:
+        raise UsageError("--dim must be >= 1")
 
 
-def _model_from(config: CliConfig):
-    spec = ModelSpec.from_names(config.get("sigma"), config.get("basis"),
-                                config.get("x0", 0.0))
-    theta = ParamVector(config.get("theta1"), tuple(config.get("theta2") or ()))
-    return spec, theta
+def _model_from(args: argparse.Namespace):
+    spec = ModelSpec.from_names(args.sigma, args.basis, args.x0)
+    return spec, ParamVector(args.theta1, tuple(args.theta2))
 
 
 def _write_text(text: str, out):
@@ -171,10 +135,10 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_constants(config: CliConfig) -> int:
-    spec, theta = _model_from(config)
+def _cmd_constants(args: argparse.Namespace) -> int:
+    spec, theta = _model_from(args)
     c = asymptotic_constants(spec, theta)
-    alpha_n, delta_n = norming(spec, theta, config.get("n"))
+    alpha_n, delta_n = norming(spec, theta, args.n)
     payload = {
         "lambda1": c.lambda1,
         "alpha": c.alpha,
@@ -184,16 +148,15 @@ def _cmd_constants(config: CliConfig) -> int:
         "alpha_n": alpha_n,
         "delta_n": delta_n,
     }
-    _write_text(_json_dumps(payload), config.get("out"))
+    _write_text(_json_dumps(payload), args.out)
     return 0
 
 
-def _cmd_simulate(config: CliConfig) -> int:
-    spec, theta = _model_from(config)
-    path = simulate_path(spec, theta, config.get("horizon"), config.get("dt"),
-                         config.get("seed"))
-    if config.get("emit") == "stats":
-        stats = accumulate_stats(spec, path, window=config.get("window"))
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    spec, theta = _model_from(args)
+    path = simulate_path(spec, theta, args.horizon, args.dt, args.seed)
+    if args.emit == "stats":
+        stats = accumulate_stats(spec, path, window=args.window)
         payload = {
             "y": stats.y.tolist(),
             "j": stats.j.tolist(),
@@ -201,30 +164,39 @@ def _cmd_simulate(config: CliConfig) -> int:
             "window": list(stats.window) if stats.window else None,
             "x0": stats.x0,
         }
-        _write_text(_json_dumps(payload), config.get("out"))
+        _write_text(_json_dumps(payload), args.out)
     else:
         lines = ["t,x"]
         times = np.arange(len(path.values)) * path.dt
         lines.extend(f"{repr(float(t))},{repr(float(x))}"
                      for t, x in zip(times, path.values))
-        _write_text("\n".join(lines) + "\n", config.get("out"))
+        _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _load_stats(path: str) -> SufficientStats:
+def _load_object(path: str, flag: str) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    window = tuple(data["window"]) if data.get("window") else None
-    return SufficientStats(y=np.asarray(data["y"], dtype=float),
-                           j=np.asarray(data["j"], dtype=float),
-                           t=float(data["t"]), window=window,
-                           x0=float(data.get("x0", 0.0)))
+    if not isinstance(data, dict):
+        raise UsageError(f"{flag} {path} must hold a JSON object")
+    return data
 
 
-def _cmd_estimate(config: CliConfig) -> int:
-    stats = _load_stats(config.get("stats"))
-    window = config.get("window")
-    if window is not None:
-        if stats.window is None or tuple(stats.window) != tuple(window):
+def _load_stats(path: str) -> SufficientStats:
+    data = _load_object(path, "--stats")
+    try:
+        window = tuple(data["window"]) if data.get("window") else None
+        return SufficientStats(y=np.asarray(data["y"], dtype=float),
+                               j=np.asarray(data["j"], dtype=float),
+                               t=float(data["t"]), window=window,
+                               x0=float(data.get("x0", 0.0)))
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"--stats {path} is malformed: {exc!r}") from exc
+
+
+def _cmd_estimate(args: argparse.Namespace) -> int:
+    stats = _load_stats(args.stats)
+    if args.window is not None:
+        if stats.window is None or tuple(stats.window) != tuple(args.window):
             raise UsageError(
                 "--window must match the window the statistics were built with"
             )
@@ -237,7 +209,7 @@ def _cmd_estimate(config: CliConfig) -> int:
         "conditioning": est.conditioning,
         "loglik_at": None,
     }
-    theta = config.get("theta")
+    theta = args.theta
     if theta is not None:
         if len(theta) != len(stats.y):
             raise UsageError(
@@ -245,34 +217,33 @@ def _cmd_estimate(config: CliConfig) -> int:
             )
         payload["loglik_at"] = log_likelihood_ratio(
             stats, np.asarray(theta, dtype=float), est.theta_hat)
-    _write_text(_json_dumps(payload), config.get("out"))
+    _write_text(_json_dumps(payload), args.out)
     return 0
 
 
-def _cmd_limits(config: CliConfig) -> int:
-    cov_path = config.get("cov")
-    if cov_path is not None:
-        cov = np.asarray(json.loads(Path(cov_path).read_text(encoding="utf-8")),
+def _cmd_limits(args: argparse.Namespace) -> int:
+    if args.cov is not None:
+        cov = np.asarray(json.loads(Path(args.cov).read_text(encoding="utf-8")),
                          dtype=float)
     else:
-        cov = np.eye(config.get("dim") or 1)
-    if config.get("dim") is not None and cov.shape[0] != config.get("dim"):
-        raise UsageError(f"--dim {config.get('dim')} does not match the "
+        cov = np.eye(args.dim or 1)
+    if args.dim is not None and cov.shape[0] != args.dim:
+        raise UsageError(f"--dim {args.dim} does not match the "
                          f"covariance ({cov.shape[0]}x{cov.shape[0]})")
-    law = LimitLawSpec(alpha=config.get("alpha"), cov=cov)
-    rng = rng_stream(config.get("seed"))
-    if config.get("risk"):
-        loss = make_loss(config.get("loss"), config.get("clip"))
-        est, stderr = monte_carlo_risk(law, loss, config.get("n"), rng)
-        payload = {"loss": config.get("loss"), "clip": config.get("clip"),
-                   "n": config.get("n"), "estimate": est, "stderr": stderr}
-        _write_text(_json_dumps(payload), config.get("out"))
+    law = LimitLawSpec(alpha=args.alpha, cov=cov)
+    rng = rng_stream(args.seed)
+    if args.risk:
+        loss = make_loss(args.loss, args.clip)
+        est, stderr = monte_carlo_risk(law, loss, args.n, rng)
+        payload = {"loss": args.loss, "clip": args.clip,
+                   "n": args.n, "estimate": est, "stderr": stderr}
+        _write_text(_json_dumps(payload), args.out)
     else:
-        draws = sample_limit_error(law, rng, size=config.get("n"))
+        draws = sample_limit_error(law, rng, size=args.n)
         header = ",".join(f"z{i}" for i in range(law.dim))
         lines = [header]
         lines.extend(",".join(repr(float(v)) for v in row) for row in np.atleast_2d(draws))
-        _write_text("\n".join(lines) + "\n", config.get("out"))
+        _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -300,14 +271,12 @@ def emit_report(report: ExperimentReport, path_base: str) -> list:
     return [str(json_path), str(csv_path)]
 
 
-def _cmd_experiment(config: CliConfig) -> int:
-    data = json.loads(Path(config.get("config")).read_text(encoding="utf-8"))
-    for key, flag in (("master_seed", "seed"), ("replications", "replications"),
-                      ("dt", "dt")):
-        if config.get(flag) is not None:
-            data[key] = config.get(flag)
-    if config.get("out") is not None:
-        data["output"] = config.get("out")
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    data = _load_object(args.config, "--config")
+    for key, value in (("master_seed", args.seed), ("replications", args.replications),
+                       ("dt", args.dt), ("output", args.out)):
+        if value is not None:
+            data[key] = value
     exp_config = ExperimentConfig.from_dict(data)
     report = run_experiment(exp_config)
     out_base = exp_config.output or f"report_{exp_config.kind}"
@@ -323,8 +292,8 @@ def _cmd_experiment(config: CliConfig) -> int:
     return 0 if report.overall_pass else 1
 
 
-def _cmd_check(config: CliConfig) -> int:
-    seed = config.get("seed")
+def _cmd_check(args: argparse.Namespace) -> int:
+    seed = args.seed
     failures = []
 
     exp = ExperimentConfig(kind="identity", sigma=1.0, basis="sinc", theta1=0.1,
@@ -372,20 +341,20 @@ _COMMANDS = {
 }
 
 
-def dispatch(config: CliConfig) -> int:
-    return _COMMANDS[config.subcommand](config)
+def dispatch(args: argparse.Namespace) -> int:
+    return _COMMANDS[args.subcommand](args)
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(sys.argv[1:] if argv is None else argv)
+        args = parse_config(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     try:
-        return dispatch(config)
+        return dispatch(args)
     except (NullrecError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import time
+import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,11 +42,6 @@ __all__ = [
     "ExperimentReport",
     "ks_statistic",
     "hill_estimator",
-    "run_identity_suite",
-    "run_rate_experiment",
-    "run_tail_experiment",
-    "run_rlt_experiment",
-    "run_risk_experiment",
     "run_experiment",
     "default_tolerances",
 ]
@@ -62,6 +59,9 @@ _CTX_RISK_BOUND = 400
 _CTX_RISK = 500         # + shift index
 
 KINDS = ("identity", "rate", "tail", "rlt", "risk")
+
+TAIL_PROB = 0.01        # survival level at which tail reads its quantile
+H_RADIUS = 2.0          # largest local shift of the risk grid, in delta_n units
 
 
 def ks_statistic(sample_a, sample_b) -> float:
@@ -107,6 +107,24 @@ def default_tolerances(kind: str) -> dict:
     }[kind]
 
 
+# what a config value of each declared field type may be (bool never counts)
+_FIELD_TYPES = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"),
+                str: (str, "a string"), tuple: ((list, tuple), "a list of numbers"),
+                dict: (dict, "an object of numbers")}
+
+
+def _check_field(name: str, value, hint) -> None:
+    options = typing.get_args(hint)  # Optional[X] -> (X, NoneType)
+    types, what = _FIELD_TYPES[options[0] if options else hint]
+    ok = isinstance(value, types) and not isinstance(value, bool)
+    if ok and types in ((list, tuple), dict):
+        items = value.values() if isinstance(value, dict) else value
+        ok = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items)
+    if not ok and not (options and value is None):
+        raise ValueError(f"config key {name!r} must be {what}"
+                         f"{' or null' if options else ''}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat, JSON-serializable description of one experiment."""
@@ -125,19 +143,17 @@ class ExperimentConfig:
     output: Optional[str] = None
     limit_draws: int = 2000
     target_cycles: int = 5000
-    hill_k: Optional[int] = None
     hill_frac: Optional[float] = None
-    tail_prob: float = 0.01
-    checkpoint_times: tuple = ()
-    h_radius: float = 2.0
     loss: str = "sqclip"
-    loss_clip: float = 4.0
     bound_draws: int = 200_000
     max_waves: int = 8
     block_steps: Optional[int] = None
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        hints = typing.get_type_hints(type(self))
+        for f in dataclasses.fields(self):
+            _check_field(f.name, getattr(self, f.name), hints[f.name])
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.replications < 1:
@@ -148,12 +164,10 @@ class ExperimentConfig:
         object.__setattr__(self, "horizons", hz)
         object.__setattr__(self, "theta2", tuple(float(v) for v in self.theta2))
         if self.window is not None:
-            w = (float(self.window[0]), float(self.window[1]))
-            if not w[0] < w[1]:
-                raise ValueError("window must be a nonempty interval")
+            w = tuple(float(v) for v in self.window)
+            if len(w) != 2 or not w[0] < w[1]:
+                raise ValueError("window must be a nonempty interval (a, b)")
             object.__setattr__(self, "window", w)
-        object.__setattr__(self, "checkpoint_times",
-                           tuple(float(t) for t in self.checkpoint_times))
         if self.dt <= 0:
             raise ValueError("dt must be positive")
 
@@ -169,25 +183,16 @@ class ExperimentConfig:
         return merged[key]
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key in ("theta2", "horizons", "checkpoint_times"):
-            out[key] = list(out[key])
-        out["window"] = list(self.window) if self.window is not None else None
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(data).__name__}")
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("theta2", "horizons", "checkpoint_times"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(kwargs[key])
-        if kwargs.get("window") is not None:
-            kwargs["window"] = tuple(kwargs["window"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass
@@ -239,6 +244,13 @@ class ExperimentReport:
         }
 
 
+def _ensemble(config, spec, theta, horizon, rep_offset, **kwargs):
+    """run_ensemble of the config's replications on its dt, seed and block size."""
+    return run_ensemble(spec, theta, float(horizon), config.dt, config.master_seed,
+                        config.replications, rep_offset=rep_offset,
+                        block_steps=config.block_steps, **kwargs)
+
+
 def _ensemble_mle(res, horizon, x0, window=None):
     """Stacked ML estimates of every replication, restricted when windowed."""
     if window is None:
@@ -260,20 +272,14 @@ def _identity_grid(theta_vec: np.ndarray) -> list:
     ]
 
 
-def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
+def _identity_rows(config: ExperimentConfig, spec, theta) -> list:
     """Exact algebraic identities of the likelihood machinery, per replication."""
-    t_start = time.perf_counter()
-    spec = config.model_spec()
-    theta = config.theta()
     theta_vec = theta.as_array()
     grid = _identity_grid(theta_vec)
     rows = []
     tol = config.tol("max_residual")
     for horizon in config.horizons:
-        res = run_ensemble(spec, theta, float(horizon), config.dt,
-                           config.master_seed, config.replications,
-                           rep_offset=_CTX_IDENTITY << 32,
-                           block_steps=config.block_steps)
+        res = _ensemble(config, spec, theta, horizon, _CTX_IDENTITY << 32)
         _, delta_n = norming(spec, theta, max(1, int(horizon)))
         h_loc = np.ones_like(theta_vec)
         max_res = {"error_representation": 0.0, "cocycle": 0.0,
@@ -309,7 +315,7 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
                                   tol, val <= tol))
         rows.append(ReportRow(horizon, None, "singular_replications",
                               float(n_sing), None, None))
-    return ExperimentReport("identity", rows, time.perf_counter() - t_start)
+    return rows
 
 
 # -------------------------------------------------------------------- rate
@@ -319,10 +325,8 @@ def _rescaled_errors(config, spec, theta, horizon, hz_index):
 
     Either error array is None when no replication gave an invertible J.
     """
-    res = run_ensemble(spec, theta, float(horizon), config.dt,
-                       config.master_seed, config.replications,
-                       rep_offset=(_CTX_RATE + hz_index) << 32,
-                       window=config.window, block_steps=config.block_steps)
+    res = _ensemble(config, spec, theta, horizon, (_CTX_RATE + hz_index) << 32,
+                    window=config.window)
     alpha_n, _ = norming(spec, theta, int(horizon))
     root = math.sqrt(alpha_n)
     theta_vec = theta.as_array()
@@ -338,13 +342,10 @@ def _rescaled_errors(config, spec, theta, horizon, hz_index):
     return errs, errs_win, int(np.count_nonzero(ok)) / config.replications
 
 
-def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
+def _rate_rows(config: ExperimentConfig, spec, theta) -> list:
     """Rescaled-error stability across horizons and distance to the limit law."""
-    t_start = time.perf_counter()
     if len(config.horizons) < 2:
         raise ValueError("rate experiment needs at least two horizons")
-    spec = config.model_spec()
-    theta = config.theta()
     consts = asymptotic_constants(spec, theta)
     p = 1 + spec.m
     rows = []
@@ -416,7 +417,7 @@ def run_rate_experiment(config: ExperimentConfig) -> ExperimentReport:
                 rows.append(ReportRow(horizon, coord, "iqr_windowed", iqr_w, None, None))
                 rows.append(ReportRow(horizon, coord, "iqr_ratio_windowed_over_mle",
                                       iqr_w / iqr, 1.0, bool(iqr_w > iqr)))
-    return ExperimentReport("rate", rows, time.perf_counter() - t_start)
+    return rows
 
 
 # -------------------------------------------------------------------- tail
@@ -438,32 +439,24 @@ def _corrected_survival(t, starts, durs, open_starts, horizon):
     return exceed / n_eligible
 
 
-def run_tail_experiment(config: ExperimentConfig) -> ExperimentReport:
+def _tail_rows(config: ExperimentConfig, spec, theta) -> list:
     """Life-cycle duration tails: Hill index and the tail constant."""
-    t_start = time.perf_counter()
-    spec = config.model_spec()
-    theta = config.theta()
     consts = asymptotic_constants(spec, theta)
     horizon = float(config.horizons[-1])
     threshold = scale_inverse(spec, theta, 1.0)
     rows = []
 
     starts, durs, open_starts = [], [], []
-    waves = 0
-    while waves < config.max_waves:
-        res = run_ensemble(spec, theta, horizon, config.dt, config.master_seed,
-                           config.replications,
-                           rep_offset=(_CTX_TAIL << 32) + waves * config.replications,
-                           want_stats=False, want_cycles=True,
-                           threshold=threshold,
-                           block_steps=config.block_steps or 65536)
+    for wave in range(config.max_waves):
+        res = _ensemble(config, spec, theta, horizon,
+                        (_CTX_TAIL << 32) + wave * config.replications,
+                        want_stats=False, want_cycles=True, threshold=threshold)
         for r in res.r_times:
             if r.size >= 1:
                 open_starts.append(r[-1])
             if r.size >= 2:
                 starts.append(r[:-1])
                 durs.append(np.diff(r))
-        waves += 1
         if sum(d.size for d in durs) >= config.target_cycles:
             break
     durs_all = np.concatenate(durs) if durs else np.array([])
@@ -475,11 +468,9 @@ def run_tail_experiment(config: ExperimentConfig) -> ExperimentReport:
     rows.append(ReportRow(horizon, None, "crossing_threshold", threshold, None, None))
     if n < max(16, int(math.sqrt(config.target_cycles))):
         rows.append(ReportRow(horizon, None, "tail_flags_insufficient", 1.0, 0.0, False))
-        return ExperimentReport("tail", rows, time.perf_counter() - t_start)
+        return rows
 
-    if config.hill_k is not None:
-        k = config.hill_k
-    elif config.hill_frac is not None:
+    if config.hill_frac is not None:
         k = max(1, int(config.hill_frac * n))
     else:
         k = int(math.ceil(math.sqrt(n)))
@@ -501,7 +492,7 @@ def run_tail_experiment(config: ExperimentConfig) -> ExperimentReport:
         for t in grid
     ])
     valid = ~np.isnan(surv)
-    below = valid & (surv <= config.tail_prob)
+    below = valid & (surv <= TAIL_PROB)
     if below.any():
         idx = int(np.argmax(below))
         t_q = float(grid[idx])
@@ -520,26 +511,20 @@ def run_tail_experiment(config: ExperimentConfig) -> ExperimentReport:
     else:
         rows.append(ReportRow(horizon, None, "tail_quantile_unreached", 1.0, 0.0,
                               False))
-    return ExperimentReport("tail", rows, time.perf_counter() - t_start)
+    return rows
 
 
 # --------------------------------------------------------------------- rlt
 
-def run_rlt_experiment(config: ExperimentConfig) -> ExperimentReport:
+def _rlt_rows(config: ExperimentConfig, spec, theta) -> list:
     """Occupation-ratio convergence and the one-dimensional estimator's bias."""
-    t_start = time.perf_counter()
-    spec = config.model_spec()
-    theta = config.theta()
     if spec.m < 1:
         raise ValueError("ratio-limit experiment needs at least one secondary direction")
     horizon = float(config.horizons[-1])
-    checkpoints = config.checkpoint_times or tuple(
-        horizon / 10**k for k in reversed(range(0, 4)) if horizon / 10**k >= 10 * config.dt
-    )
-    res = run_ensemble(spec, theta, horizon, config.dt, config.master_seed,
-                       config.replications, rep_offset=_CTX_RLT << 32,
-                       checkpoint_times=checkpoints,
-                       block_steps=config.block_steps)
+    checkpoints = tuple(horizon / 10**k for k in reversed(range(0, 4))
+                        if horizon / 10**k >= 10 * config.dt)
+    res = _ensemble(config, spec, theta, horizon, _CTX_RLT << 32,
+                    checkpoint_times=checkpoints)
     theta2 = np.asarray(theta.theta2)
     rows = []
 
@@ -572,15 +557,15 @@ def run_rlt_experiment(config: ExperimentConfig) -> ExperimentReport:
                           None, None))
     rows.append(ReportRow(horizon, None, "naive_over_mle_ratio", ratio,
                           factor, ratio > factor))
-    return ExperimentReport("rlt", rows, time.perf_counter() - t_start)
+    return rows
 
 
 # -------------------------------------------------------------------- risk
 
-def _h_grid(p: int, radius: float) -> list:
+def _h_grid(p: int) -> list:
     pts = [np.zeros(p)]
     for axis in range(p):
-        for scale in (radius / 2.0, radius):
+        for scale in (H_RADIUS / 2.0, H_RADIUS):
             for sign in (1.0, -1.0):
                 h = np.zeros(p)
                 h[axis] = sign * scale
@@ -588,15 +573,12 @@ def _h_grid(p: int, radius: float) -> list:
     return pts
 
 
-def run_risk_experiment(config: ExperimentConfig) -> ExperimentReport:
+def _risk_rows(config: ExperimentConfig, spec, theta) -> list:
     """Local-shift risk of the ML estimator against the limit-law bound."""
-    t_start = time.perf_counter()
-    spec = config.model_spec()
-    theta = config.theta()
     consts = asymptotic_constants(spec, theta)
     horizon = config.horizons[-1]
     _, delta_n = norming(spec, theta, int(horizon))
-    loss = make_loss(config.loss, config.loss_clip)
+    loss = make_loss(config.loss)
     rows = []
 
     sigma_mat = information_scale_matrix(spec, theta)
@@ -611,7 +593,7 @@ def run_risk_experiment(config: ExperimentConfig) -> ExperimentReport:
     sup_mle, sup_win = -math.inf, -math.inf
     se_at_sup = 0.0
     dropped = 0
-    for h_index, h in enumerate(_h_grid(len(theta_vec), config.h_radius)):
+    for h_index, h in enumerate(_h_grid(len(theta_vec))):
         shifted_vec = theta_vec + delta_n * h
         shifted = ParamVector.from_array(shifted_vec)
         if not theta_in_domain(spec, shifted):
@@ -619,10 +601,8 @@ def run_risk_experiment(config: ExperimentConfig) -> ExperimentReport:
             rows.append(ReportRow(float(horizon), h_index, "h_point_dropped",
                                   1.0, None, None))
             continue
-        res = run_ensemble(spec, shifted, float(horizon), config.dt,
-                           config.master_seed, config.replications,
-                           rep_offset=(_CTX_RISK + h_index) << 32,
-                           window=config.window, block_steps=config.block_steps)
+        res = _ensemble(config, spec, shifted, horizon, (_CTX_RISK + h_index) << 32,
+                        window=config.window)
         est = _ensemble_mle(res, horizon, spec.x0)
         losses_mle = loss((est.theta_hat - shifted_vec) / delta_n)
         risk = float(np.mean(losses_mle))
@@ -654,17 +634,20 @@ def run_risk_experiment(config: ExperimentConfig) -> ExperimentReport:
                               None, None))
         rows.append(ReportRow(float(horizon), None, "risk_ordering_gap",
                               sup_win - sup_mle, 0.0, sup_win >= sup_mle))
-    return ExperimentReport("risk", rows, time.perf_counter() - t_start)
+    return rows
 
 
-_RUNNERS = {
-    "identity": run_identity_suite,
-    "rate": run_rate_experiment,
-    "tail": run_tail_experiment,
-    "rlt": run_rlt_experiment,
-    "risk": run_risk_experiment,
+_ROWS = {
+    "identity": _identity_rows,
+    "rate": _rate_rows,
+    "tail": _tail_rows,
+    "rlt": _rlt_rows,
+    "risk": _risk_rows,
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    return _RUNNERS[config.kind](config)
+    """Run one experiment; its rows are deterministic given the config."""
+    t_start = time.perf_counter()
+    rows = _ROWS[config.kind](config, config.model_spec(), config.theta())
+    return ExperimentReport(config.kind, rows, time.perf_counter() - t_start)

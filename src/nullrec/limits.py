@@ -111,16 +111,12 @@ def make_loss(name: str, clip: float = 4.0):
         def loss(x):
             x = np.atleast_2d(np.asarray(x, dtype=float))
             return np.minimum((x * x).sum(axis=1), clip)
-        bound = clip
     elif name == "exp":
         def loss(x):
             x = np.atleast_2d(np.asarray(x, dtype=float))
             return 1.0 - np.exp(-(x * x).sum(axis=1))
-        bound = 1.0
     else:
         raise ValueError(f"unknown loss {name!r}")
-    loss.bound = bound
-    loss.name = name
     return loss
 
 

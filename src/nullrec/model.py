@@ -198,17 +198,19 @@ def antiderivative_F(spec: ModelSpec, nu: int, x):
     """F_{2,nu}(x) = int_0^x f_{2,nu}(y) dy; nu is 1-based; vectorized in x."""
     if not 1 <= nu <= spec.m:
         raise ValueError(f"nu={nu} out of range 1..{spec.m}")
-    out = np.asarray(spec.basis.antiderivs[nu - 1](np.asarray(x, dtype=float)))
+    out = np.asarray(spec.basis.antiderivs(np.asarray(x, dtype=float))[nu - 1])
     return out if out.shape else float(out)
 
 
 def _f_sum(spec: ModelSpec, lam2: np.ndarray, x):
-    """sum_nu lam2_nu * F_{2,nu}(x), vectorized."""
+    """sum_nu lam2_nu * F_{2,nu}(x), vectorized; zero lam2_nu are skipped."""
     x = np.asarray(x, dtype=float)
     total = np.zeros_like(x)
-    for nu in range(1, spec.m + 1):
-        if lam2[nu - 1] != 0.0:
-            total = total + lam2[nu - 1] * antiderivative_F(spec, nu, x)
+    nonzero = np.flatnonzero(lam2)
+    if nonzero.size:
+        F = spec.basis.antiderivs(x)
+        for nu in nonzero:
+            total = total + lam2[nu] * F[nu]
     return total
 
 
@@ -225,8 +227,11 @@ def scale_function(spec: ModelSpec, theta: ParamVector, x: float) -> float:
     x = float(x)
     if x == 0.0:
         return 0.0
-    val, abserr = _quad_checked(lambda y: float(_scale_density(spec, theta, y)),
-                                0.0, x, limit=300, what="scale function")
+    # one QUADPACK call across many decades can be off by far more than its abserr
+    edges = [0.0] + [math.copysign(10.0**k, x) for k in range(math.ceil(math.log10(abs(x))))]
+    parts = [_quad_checked(lambda y: float(_scale_density(spec, theta, y)), a, b, limit=300,
+                           what="scale function") for a, b in zip(edges, edges[1:] + [x])]
+    val, abserr = (math.fsum(p) for p in zip(*parts))
     if abserr > 1e-7 * max(1.0, abs(val)):
         raise QuadratureError(f"scale function quadrature error {abserr:.2e}")
     return val

@@ -84,15 +84,11 @@ class LifeCycleRecord:
 class EnsembleResult:
     """Per-replication accumulations from a lock-step ensemble run."""
 
-    replications: int
-    horizon: float
-    dt: float
     y: Optional[np.ndarray] = None            # (R, 1+m)
     j: Optional[np.ndarray] = None            # (R, 1+m, 1+m)
     y_win: Optional[np.ndarray] = None
     j_win: Optional[np.ndarray] = None
     r_times: Optional[list] = None            # list of (n_i,) arrays, seconds
-    threshold: Optional[float] = None
     checkpoints: dict = field(default_factory=dict)  # step-time -> (y, j) snapshot
     paths: Optional[np.ndarray] = None        # (R, n_steps+1) when stored
     final_x: Optional[np.ndarray] = None
@@ -327,8 +323,7 @@ def run_ensemble(
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             results = list(pool.map(chunk, spans))
 
-    res = EnsembleResult(replications=replications, horizon=horizon, dt=dt)
-    res.threshold = threshold
+    res = EnsembleResult()
 
     def cat(key):
         parts = [r[key] for r in results if key in r]

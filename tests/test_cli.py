@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nullrec.cli import CliConfig, dispatch, emit_report, main, parse_config
+from nullrec.cli import emit_report, main, parse_config
 from nullrec.harness import ExperimentConfig, ExperimentReport, ReportRow
 
 
@@ -19,7 +19,7 @@ def run_cli(capsys, *argv):
 def test_parse_constants_valid():
     cfg = parse_config(["constants", "--sigma", "1", "--theta1", "0"])
     assert cfg.subcommand == "constants"
-    assert cfg.get("sigma") == 1.0
+    assert cfg.sigma == 1.0
 
 
 def test_parse_rejects_theta_outside_domain():
@@ -32,14 +32,6 @@ def test_parse_rejects_unknown_flag():
     with pytest.raises(SystemExit) as exc:
         parse_config(["constants", "--sigma", "1", "--theta1", "0", "--bogus", "1"])
     assert exc.value.code == 2
-
-
-def test_parse_roundtrip():
-    cfg = parse_config(["simulate", "--sigma", "1.0", "--theta1", "0.1",
-                        "--theta2", "0.3", "--basis", "sinc", "--horizon", "5.0",
-                        "--dt", "0.01", "--seed", "7", "--emit", "stats"])
-    again = parse_config(cfg.to_argv())
-    assert again == cfg
 
 
 def test_parse_theta2_count_mismatch_names_flag():
@@ -155,6 +147,36 @@ def test_limits_alpha_validation(capsys):
     code, _, err = run_cli(capsys, "limits", "--alpha", "1.5", "--n", "10",
                            "--seed", "1")
     assert code == 2 and "alpha" in err
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_limits_dim_validation(capsys, dim):
+    code, _, err = run_cli(capsys, "limits", "--alpha", "0.5", "--dim", dim,
+                           "--n", "10", "--seed", "1")
+    assert code == 2 and err == "error: --dim must be >= 1\n"
+
+
+def test_estimate_stats_missing_key(tmp_path, capsys):
+    stats_file = tmp_path / "stats.json"
+    stats_file.write_text(json.dumps({"y": [0.1], "t": 1.0}))
+    code, _, err = run_cli(capsys, "estimate", "--stats", str(stats_file))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'j'" in err
+
+
+@pytest.mark.parametrize("data, name", [
+    ({"kind": "identity", "replications": "10"}, "replications"),
+    ({"kind": "identity", "horizons": None}, "horizons"),
+    ({"kind": "identity", "tolerances": {"max_residual": "tiny"}}, "tolerances"),
+    ([1, 2], "JSON object"),
+], ids=["replications", "horizons", "tolerances", "not_an_object"])
+def test_experiment_malformed_config(tmp_path, capsys, data, name):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_file),
+                           "--out", str(tmp_path / "rep"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err
 
 
 def test_experiment_cli_and_exit_codes(tmp_path, capsys):

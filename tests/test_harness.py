@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +10,9 @@ from hypothesis import strategies as st
 
 from nullrec import ExperimentConfig, hill_estimator, ks_statistic, run_experiment
 from nullrec.errors import DegenerateSampleError
-from nullrec.harness import (
-    default_tolerances,
-    run_identity_suite,
-    run_rate_experiment,
-    run_rlt_experiment,
-    run_risk_experiment,
-    run_tail_experiment,
-)
+from nullrec.harness import default_tolerances
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 # ----------------------------------------------------------------- ks/hill
@@ -82,9 +79,19 @@ def test_config_roundtrip():
     assert again == cfg
 
 
-def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_dict({"kind": "rate", "bogus": 1})
+@pytest.mark.parametrize("key", ["bogus", "hill_k", "tail_prob", "checkpoint_times",
+                                 "h_radius", "loss_clip"])
+def test_config_rejects_unknown_keys(key):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict({"kind": "rate", key: 1})
+
+
+def test_canned_configs_load():
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    assert [p.stem for p in paths] == ["identity", "rate", "risk", "rlt", "tail"]
+    for path in paths:
+        config = ExperimentConfig.from_dict(json.loads(path.read_text()))
+        assert config.kind == path.stem
 
 
 def test_config_rejects_bad_values():
@@ -109,15 +116,15 @@ IDENT = ExperimentConfig(kind="identity", theta1=0.1, theta2=(-0.3,),
 
 
 def test_identity_suite_small():
-    report = run_identity_suite(IDENT)
+    report = run_experiment(IDENT)
     assert report.overall_pass
     worst = max(r.value for r in report.rows if r.stat_name.startswith("max_residual"))
     assert worst <= 1e-10
 
 
 def test_identity_deterministic():
-    a = run_identity_suite(IDENT)
-    b = run_identity_suite(IDENT)
+    a = run_experiment(IDENT)
+    b = run_experiment(IDENT)
     assert [dataclasses.asdict(r) for r in a.rows] == [
         dataclasses.asdict(r) for r in b.rows]
 
@@ -128,7 +135,7 @@ def test_rate_experiment_small_smoke():
                            master_seed=7, window=(-2.0, 2.0), limit_draws=400,
                            tolerances={"ks_cross": 1.0, "ks_limit": 1.0,
                                        "ks_calibration": 1.0})
-    report = run_rate_experiment(cfg)
+    report = run_experiment(cfg)
     names = {r.stat_name for r in report.rows}
     assert {"ks_cross_horizon", "ks_vs_limit", "ks_calibration",
             "invertible_fraction", "iqr_ratio_windowed_over_mle",
@@ -141,7 +148,7 @@ def test_rate_experiment_small_smoke():
 def test_rate_reports_every_horizon():
     # one Euler step never gives an invertible J; the later horizon still counts
     cfg = ExperimentConfig(kind="rate", horizons=(1, 50), dt=1.0, replications=20)
-    report = run_rate_experiment(cfg)
+    report = run_experiment(cfg)
     fracs = {r.horizon: r.value for r in report.find("invertible_fraction")}
     assert fracs[1.0] == 0.0 and fracs[50.0] > 0.0
     assert {r.horizon for r in report.find("ks_vs_limit")} == {50.0}
@@ -150,14 +157,14 @@ def test_rate_reports_every_horizon():
 
 def test_rate_requires_two_horizons():
     with pytest.raises(ValueError):
-        run_rate_experiment(ExperimentConfig(kind="rate", horizons=(100,)))
+        run_experiment(ExperimentConfig(kind="rate", horizons=(100,)))
 
 
 def test_tail_experiment_flags_insufficient_cycles():
     cfg = ExperimentConfig(kind="tail", theta1=0.0, theta2=(0.0,),
                            horizons=(5,), dt=1e-2, replications=2,
                            master_seed=3, target_cycles=50, max_waves=1)
-    report = run_tail_experiment(cfg)
+    report = run_experiment(cfg)
     rows = report.find("completed_cycles")
     assert rows and rows[0].passed is False
     assert not report.overall_pass
@@ -168,7 +175,7 @@ def test_tail_experiment_small_run():
                            horizons=(400,), dt=1e-2, replications=8,
                            master_seed=11, target_cycles=40, max_waves=4,
                            tolerances={"hill_abs": 1.0, "tail_constant_rel": 10.0})
-    report = run_tail_experiment(cfg)
+    report = run_experiment(cfg)
     assert report.find("completed_cycles")[0].value >= 40
     assert report.find("hill_alpha")
     assert report.find("crossing_threshold")[0].value == pytest.approx(1.0, abs=1e-9)
@@ -179,7 +186,7 @@ def test_rlt_experiment_smoke():
                            horizons=(200,), dt=1e-2, replications=6,
                            master_seed=13,
                            tolerances={"bias_rel": 10.0, "naive_vs_mle_factor": 0.0})
-    report = run_rlt_experiment(cfg)
+    report = run_experiment(cfg)
     assert report.find("b_check_terminal_median")
     assert report.find("b_check_lane0")
     assert report.find("naive_over_mle_ratio")[0].value > 0
@@ -189,16 +196,15 @@ def test_rlt_requires_secondary():
     cfg = ExperimentConfig(kind="rlt", basis="none", theta2=(),
                            horizons=(100,), replications=2)
     with pytest.raises(ValueError):
-        run_rlt_experiment(cfg)
+        run_experiment(cfg)
 
 
 def test_risk_experiment_smoke():
     cfg = ExperimentConfig(kind="risk", theta1=0.0, theta2=(0.3,),
                            horizons=(50,), dt=1e-2, replications=12,
                            master_seed=17, window=(-2.0, 2.0), bound_draws=4000,
-                           h_radius=2.0,
                            tolerances={"bound_sigma": 100.0})
-    report = run_risk_experiment(cfg)
+    report = run_experiment(cfg)
     bound = report.find("risk_bound")[0].value
     assert 0.0 <= bound <= 4.0
     sup_m = report.find("sup_risk_mle")[0].value
@@ -215,7 +221,7 @@ def test_risk_bounded_loss_rows_in_range():
                            horizons=(50,), dt=1e-2, replications=6,
                            master_seed=19, loss="exp", bound_draws=2000,
                            tolerances={"bound_sigma": 100.0})
-    report = run_risk_experiment(cfg)
+    report = run_experiment(cfg)
     for r in report.find("risk_mle_at_h"):
         assert 0.0 <= r.value <= 1.0
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from nullrec import (
     ModelSpec,
@@ -124,10 +125,10 @@ def test_antiderivative_without_tail_form_raises():
     # every basis function needs an antiderivative; without the tail form
     # (osc) the whole-line moments have nothing to finish the rays with
     with pytest.raises(ValueError):
-        DriftBasis(name="bare-sinc", funcs=(sinc,), antiderivs=(None,),
+        DriftBasis(name="bare-sinc", funcs=(sinc,), antiderivs=None,
                    f_limit_pos=(np.pi / 2,), f_limit_neg=(-np.pi / 2,),
                    osc=(None,))
-    basis = DriftBasis(name="bare-sinc", funcs=(sinc,), antiderivs=(si,),
+    basis = DriftBasis(name="bare-sinc", funcs=(sinc,), antiderivs=si,
                        f_limit_pos=(np.pi / 2,), f_limit_neg=(-np.pi / 2,),
                        osc=(None,))
     spec = ModelSpec(sigma=1.0, basis=basis)
@@ -169,6 +170,17 @@ def test_scale_roundtrip_plain(theta1, u):
     th = ParamVector(theta1)
     x = scale_inverse(spec, th, u)
     assert scale_function(spec, th, x) == pytest.approx(u, abs=1e-8)
+
+
+def test_scale_function_far_out_matches_closed_form():
+    # without a drift basis S(x) = x 2F1(1/2, theta1; 3/2; -x^2) at sigma = 1
+    spec = ModelSpec.from_names(1.0, "none")
+    for theta1 in (0.49, 0.3, -0.3):
+        for x in (7.0, 1.1385e6, -1e9):
+            ref = x * hyp2f1(0.5, theta1, 1.5, -x * x)
+            assert scale_function(spec, ParamVector(theta1), x) == pytest.approx(ref, rel=1e-12)
+    x = scale_inverse(spec, ParamVector(0.49), 17.0)
+    assert scale_function(spec, ParamVector(0.49), x) == pytest.approx(17.0, abs=1e-8)
 
 
 def test_scale_roundtrip_sinc_grid(spec_sinc):
