@@ -28,15 +28,27 @@ from scipy.special import exp1, expi, sici
 __all__ = ["DriftBasis", "make_basis", "principal_f1", "sinc"]
 
 
+# 0-d array operands: a Python float operand costs each ufunc call a scalar
+# conversion, a good part of the call on the few lanes of one Euler step.
+_ONE = np.array(1.0)
+_PI = np.array(np.pi)
+_EPS = np.array(np.finfo(float).eps)
+
+
 def principal_f1(x):
     x = np.asarray(x, dtype=float)
-    return x / (1.0 + x * x)
+    return x / (_ONE + x * x)
 
 
 def sinc(x):
-    """sin(x)/x with the removable singularity filled in at 0."""
-    x = np.asarray(x, dtype=float)
-    return np.sinc(x / np.pi)
+    """sin(x)/x with the removable singularity filled in at 0.
+
+    The operations of np.sinc(x / pi), bit for bit, without its Python
+    wrapper: y = pi * (x / pi), eps where y = 0, then sin(y) / y.
+    """
+    y = _PI * (np.asarray(x, dtype=float) / _PI)
+    y = np.where(y, y, _EPS)
+    return np.sin(y) / y
 
 
 def si(x):

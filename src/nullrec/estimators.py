@@ -93,26 +93,37 @@ def restricted_mle(stats: SufficientStats, x0: Optional[float] = None) -> Estima
     return mle(stats)
 
 
+def _ratio_bias(matrix: np.ndarray, theta2) -> float:
+    """sum_nu t2_nu m_{1,nu+1} / m_11: the secondary drift's share of y_1/j_11.
+
+    With m the moment matrix mu(psi psi^T) this is the ratio estimate's
+    almost-sure bias; with m a path's j it is that path's finite-time value.
+    """
+    return float(np.asarray(theta2, dtype=float) @ matrix[0, 1:] / matrix[0, 0])
+
+
 def naive_estimator(stats: SufficientStats, spec: Optional[ModelSpec] = None,
                     theta_true: Optional[ParamVector] = None):
     """One-dimensional ratio estimate y_1/j_11 of the principal parameter.
 
-    When the true parameter is supplied (and a model to integrate under), the
+    For stacked statistics the estimate is an (R,) array, else a float.  When
+    the true parameter is supplied (and a model to integrate under), the
     almost-sure limit of its bias, sum_nu t2_nu mu(f1 f_{2,nu}) / mu(f1^2),
     is evaluated by quadrature and returned alongside.
     """
-    j11 = float(stats.j[0, 0])
-    if j11 <= 0.0:
+    j11 = stats.j[..., 0, 0]
+    if np.any(j11 <= 0.0):
         raise DegenerateSampleError("j_11 must be positive for the ratio estimate")
-    theta_check = float(stats.y[0]) / j11
+    theta_check = stats.y[..., 0] / j11
+    if stats.y.ndim == 1:
+        theta_check = float(theta_check)
     predicted_bias = None
     if theta_true is not None:
         if spec is None:
             raise ValueError("predicted bias needs the model spec")
         if any(c != 0.0 for c in theta_true.theta2):
-            lam = mu_moment_matrix(spec, theta_true)
-            coefs = np.asarray(theta_true.theta2, dtype=float)
-            predicted_bias = float(coefs @ lam[0, 1:] / lam[0, 0])
+            predicted_bias = _ratio_bias(mu_moment_matrix(spec, theta_true),
+                                         theta_true.theta2)
         else:
             predicted_bias = 0.0
     return theta_check, predicted_bias

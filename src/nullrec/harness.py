@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .estimators import mle, one_step, log_likelihood_ratio, restricted_mle
+from .estimators import (_ratio_bias, log_likelihood_ratio, mle, naive_estimator, one_step,
+                         restricted_mle)
 from .limits import LimitLawSpec, make_loss, monte_carlo_risk, rng_stream, sample_limit_error
 from .model import (
     ModelSpec,
@@ -156,6 +157,10 @@ class ExperimentConfig:
             _check_field(f.name, getattr(self, f.name), hints[f.name])
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        unknown = set(self.tolerances) - set(default_tolerances(self.kind))
+        if unknown:
+            raise ValueError(f"unknown tolerance keys for kind {self.kind!r}: "
+                             f"{sorted(unknown)}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         hz = tuple(self.horizons)
@@ -525,19 +530,13 @@ def _rlt_rows(config: ExperimentConfig, spec, theta) -> list:
                         if horizon / 10**k >= 10 * config.dt)
     res = _ensemble(config, spec, theta, horizon, _CTX_RLT << 32,
                     checkpoint_times=checkpoints)
-    theta2 = np.asarray(theta.theta2)
     rows = []
-
-    def b_check(j):
-        return float(theta2 @ j[0, 1:] / j[0, 0])
-
     for t_ck in sorted(res.checkpoints):
         _, j_ck = res.checkpoints[t_ck]
-        rows.append(ReportRow(t_ck, None, "b_check_lane0", b_check(j_ck[0]),
-                              None, None))
-    terminal_b = np.array([b_check(j) for j in res.j])
-    lam = mu_moment_matrix(spec, theta)
-    predicted = float(theta2 @ lam[0, 1:] / lam[0, 0])
+        rows.append(ReportRow(t_ck, None, "b_check_lane0",
+                              _ratio_bias(j_ck[0], theta.theta2), None, None))
+    terminal_b = np.array([_ratio_bias(j, theta.theta2) for j in res.j])
+    predicted = _ratio_bias(mu_moment_matrix(spec, theta), theta.theta2)
     med_b = float(np.median(terminal_b))
     rel = config.tol("bias_rel")
     rows.append(ReportRow(horizon, None, "b_check_terminal_median", med_b,
@@ -545,7 +544,8 @@ def _rlt_rows(config: ExperimentConfig, spec, theta) -> list:
     rows.append(ReportRow(horizon, None, "b_check_predicted", predicted, None, None))
 
     est = _ensemble_mle(res, horizon, spec.x0)
-    naive_dev = np.abs(res.y[:, 0] / res.j[:, 0, 0] - theta.theta1)
+    naive, _ = naive_estimator(SufficientStats(y=res.y, j=res.j, t=horizon))
+    naive_dev = np.abs(naive - theta.theta1)
     mle_dev = np.abs(est.theta_hat[est.j_invertible, 0] - theta.theta1)
     factor = config.tol("naive_vs_mle_factor")
     med_naive = float(np.median(naive_dev))

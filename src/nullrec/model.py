@@ -157,22 +157,25 @@ def _lambdas(spec: ModelSpec, theta: ParamVector):
     return lam1, lam2
 
 
-def _drift_fn(spec: ModelSpec, theta: ParamVector):
-    """Vectorized drift closure, or None when the drift vanishes identically."""
-    if theta.theta1 == 0.0 and all(c == 0.0 for c in theta.theta2):
-        return None
-    coefs = theta.theta2
-    funcs = spec.basis.funcs
-    t1 = theta.theta1
+def _psi_funcs(spec: ModelSpec):
+    """psi = (f1, f_{2,1}, ..., f_{2,m}); slot i of a drift term indexes it."""
+    return (principal_f1,) + spec.basis.funcs
 
-    def drift(x):
-        out = t1 * principal_f1(x)
-        for c, f in zip(coefs, funcs):
-            if c != 0.0:
-                out = out + c * f(x)
-        return out
 
-    return drift
+def _drift_terms(spec: ModelSpec, theta: ParamVector) -> tuple:
+    """(slot, coefficient) of each nonzero drift term over psi, in slot order.
+
+    Empty when the drift vanishes identically.
+    """
+    return tuple((i, c) for i, c in enumerate((theta.theta1,) + theta.theta2) if c != 0.0)
+
+
+def _drift_sum(terms, values):
+    """b(x) = sum_n c_n * values[n] over nonempty terms, values[n] = psi_{slot_n}(x)."""
+    out = terms[0][1] * values[0]
+    for (_, c), v in zip(terms[1:], values[1:]):
+        out = out + c * v
+    return out
 
 
 def eval_drift(spec: ModelSpec, theta: ParamVector, x):
@@ -180,8 +183,9 @@ def eval_drift(spec: ModelSpec, theta: ParamVector, x):
     if theta.m != spec.m:
         raise ValueError("parameter/basis size mismatch")
     x = np.asarray(x, dtype=float)
-    drift = _drift_fn(spec, theta)
-    out = np.zeros_like(x) if drift is None else drift(x)
+    terms = _drift_terms(spec, theta)
+    psis = _psi_funcs(spec)
+    out = _drift_sum(terms, [psis[i](x) for i, _ in terms]) if terms else np.zeros_like(x)
     return out if out.shape else float(out)
 
 
@@ -291,10 +295,6 @@ def norming(spec: ModelSpec, theta: ParamVector, n) -> tuple:
     alpha_n = float(n) ** c.alpha * c.d_weight / (c.psi_plus + c.psi_minus)
     delta_n = float(n) ** (-0.5 * c.alpha)
     return alpha_n, delta_n
-
-
-def _psi_funcs(spec: ModelSpec):
-    return (principal_f1,) + spec.basis.funcs
 
 
 def mu_integral(spec: ModelSpec, theta: ParamVector, g, window=None) -> float:

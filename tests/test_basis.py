@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from nullrec import make_basis
-from nullrec.basis import principal_f1
+from nullrec.basis import principal_f1, sinc
 
 
 def test_principal_direction_values():
@@ -20,6 +20,22 @@ def test_sinc_basis_shape():
     assert b.m == 1
     assert b.funcs[0](0.0) == pytest.approx(1.0)
     assert b.funcs[0](np.pi) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_sinc_bit_identical_to_numpy_sinc():
+    x = np.random.default_rng(5).standard_normal((40, 30)) * 30.0
+    x[3, 4] = 0.0
+    x[5, 6] = -0.0
+    for arr in (x, x[:, 7], x[::3, 1::4], x.T, x[:, 2:9].T):
+        got, want = sinc(arr), np.sinc(arr / np.pi)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    for scalar in (0.0, -0.0, 2.5, 1e-300, np.float64(-7.0), np.array(3.0)):
+        got, want = sinc(scalar), np.sinc(np.asarray(scalar, dtype=float) / np.pi)
+        assert type(got) is type(want) is np.float64
+        assert np.array_equal(got, want)
+    assert sinc(0.0) == 1.0
+    assert sinc(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_sinc_limits_against_coarse_quadrature():

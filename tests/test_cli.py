@@ -168,8 +168,10 @@ def test_estimate_stats_missing_key(tmp_path, capsys):
     ({"kind": "identity", "replications": "10"}, "replications"),
     ({"kind": "identity", "horizons": None}, "horizons"),
     ({"kind": "identity", "tolerances": {"max_residual": "tiny"}}, "tolerances"),
+    ({"kind": "identity", "horizons": [2], "replications": 2,
+      "tolerances": {"max_residul": 0.0}}, "max_residul"),
     ([1, 2], "JSON object"),
-], ids=["replications", "horizons", "tolerances", "not_an_object"])
+], ids=["replications", "horizons", "tolerances", "tolerance_key", "not_an_object"])
 def test_experiment_malformed_config(tmp_path, capsys, data, name):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(data))

@@ -193,9 +193,23 @@ def test_naive_bias_prediction_quadrature(spec_sinc):
     assert bias == pytest.approx(0.5 * lam[0, 1] / lam[0, 0], rel=1e-12)
 
 
+def test_naive_stacked_matches_rows(spec_sinc):
+    rng = np.random.default_rng(8)
+    y = rng.standard_normal((5, 2))
+    j = np.eye(2) * rng.uniform(0.5, 2.0, (5, 1, 1))
+    th = ParamVector(0.0, (0.5,))
+    check, bias = naive_estimator(stats_of(y, j), spec_sinc, th)
+    assert check.shape == (5,)
+    for r in range(5):
+        row_check, row_bias = naive_estimator(stats_of(y[r], j[r]), spec_sinc, th)
+        assert check[r] == row_check and bias == row_bias
+
+
 def test_naive_degenerate():
     with pytest.raises(DegenerateSampleError):
         naive_estimator(stats_of([1.0], [[0.0]]))
+    with pytest.raises(DegenerateSampleError):
+        naive_estimator(stats_of([[1.0], [1.0]], [[[2.0]], [[0.0]]]))
 
 
 # ------------------------------------------------------------ likelihood

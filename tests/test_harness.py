@@ -86,6 +86,13 @@ def test_config_rejects_unknown_keys(key):
         ExperimentConfig.from_dict({"kind": "rate", key: 1})
 
 
+@pytest.mark.parametrize("kind, key", [("identity", "max_residul"), ("rate", "bias_rel"),
+                                       ("rlt", "hill_abs")])
+def test_config_rejects_unknown_tolerance_keys(kind, key):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict({"kind": kind, "tolerances": {key: 0.0}})
+
+
 def test_canned_configs_load():
     paths = sorted(CONFIG_DIR.glob("*.json"))
     assert [p.stem for p in paths] == ["identity", "rate", "risk", "rlt", "tail"]

@@ -9,6 +9,7 @@ from nullrec import (
     SufficientStats,
     accumulate_stats,
     detect_life_cycles,
+    eval_drift,
     ks_statistic,
     run_ensemble,
     score_at,
@@ -116,6 +117,35 @@ def test_stats_match_ensemble(spec_sinc, theta_sinc):
                               window=None)
         np.testing.assert_allclose(res.y[lane], st.y, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(res.j[lane], st.j, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("basis", ["sinc", "fourier-1", "none"])
+@pytest.mark.parametrize("theta1", [0.0, 0.2])
+def test_kernel_stats_equal_accumulate_stats(basis, theta1):
+    # one lane in one block: the kernel's psi values, taken at each Euler step,
+    # must give the same bits as evaluating the stored path in one call
+    spec = ModelSpec.from_names(1.3, basis, 0.4)
+    theta = ParamVector(theta1, (0.3, -0.2)[:spec.m])
+    horizon, dt, window = 40.0, 1e-2, (-1.0, 2.0)
+    res = run_ensemble(spec, theta, horizon, dt, 9, 1, window=window,
+                       store_path=True, block_steps=n_steps_for(horizon, dt), threads=1)
+    path = DiffusionPath(dt=dt, values=res.paths[0], horizon=horizon, seed=9)
+    for got_y, got_j, win in ((res.y, res.j, None), (res.y_win, res.j_win, window)):
+        st = accumulate_stats(spec, path, window=win)
+        assert np.array_equal(got_y[0], st.y)
+        assert np.array_equal(got_j[0], st.j)
+
+
+@pytest.mark.parametrize("basis", ["sinc", "fourier-1"])
+@pytest.mark.parametrize("theta1", [0.0, -0.15])
+def test_kernel_step_uses_eval_drift(basis, theta1):
+    sigma, x0, dt, seed = 1.3, 0.7, 1e-2, 23
+    spec = ModelSpec.from_names(sigma, basis, x0)
+    theta = ParamVector(theta1, (0.3, -0.2)[:spec.m])
+    res = run_ensemble(spec, theta, dt, dt, seed, 1, store_path=True, threads=1)
+    z0 = lane_rng(seed, 0).standard_normal()
+    want = x0 + eval_drift(spec, theta, x0) * dt + sigma * np.sqrt(dt) * z0
+    assert res.paths[0].tolist() == [x0, want]
 
 
 # ---------------------------------------------------------------- cycles
