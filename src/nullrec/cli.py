@@ -185,6 +185,8 @@ def _load_stats(path: str) -> SufficientStats:
     data = _load_object(path, "--stats")
     try:
         window = tuple(data["window"]) if data.get("window") else None
+        if np.ndim(data["y"]) != 1:
+            raise UsageError(f"--stats {path}: 'y' must be one flat list of numbers")
         return SufficientStats(y=np.asarray(data["y"], dtype=float),
                                j=np.asarray(data["j"], dtype=float),
                                t=float(data["t"]), window=window,

@@ -6,7 +6,8 @@ same solve on window-restricted statistics, the one-dimensional ratio
 estimator for the principal parameter (inconsistent when secondary drift is
 present), the quadratic log-likelihood-ratio surface, and the one-step
 correction, which reproduces the ML estimate exactly whenever the gate
-passes.
+passes.  Each takes one record or R stacked ones, and gives every stacked
+row the bits of the per-record call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, DegenerateWindowError
 from .model import ModelSpec, ParamVector, mu_moment_matrix
-from .simulate import SufficientStats, score_at
+from .simulate import SufficientStats, _param_of, score_at
 
 __all__ = [
     "EstimateResult",
@@ -67,13 +68,26 @@ def _gated_solve(j: np.ndarray, rhs: np.ndarray):
     return np.where(passed[..., None], sol, 0.0), passed, w_min
 
 
-def mle(stats: SufficientStats) -> EstimateResult:
-    """ML estimate 1{j in D+} j^{-1} y; zero vector when the gate fails."""
-    sol, passed, w_min = _gated_solve(stats.j, stats.y)
+def _result(stats: SufficientStats, theta_hat, passed, w_min) -> EstimateResult:
+    """EstimateResult with python scalar gate and conditioning for one record."""
     if stats.y.ndim == 1:
         passed, w_min = bool(passed), float(w_min)
-    return EstimateResult(theta_hat=sol, j_invertible=passed,
+    return EstimateResult(theta_hat=theta_hat, j_invertible=passed,
                           conditioning=w_min, horizon=stats.t)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, broadcast over the leading ones.
+
+    Stacked matmul gives each row the bits of the per-record a @ b; the
+    gemv of an (R, p) @ (p,) product does not.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def mle(stats: SufficientStats) -> EstimateResult:
+    """ML estimate 1{j in D+} j^{-1} y; zero vector when the gate fails."""
+    return _result(stats, *_gated_solve(stats.j, stats.y))
 
 
 def restricted_mle(stats: SufficientStats, x0: Optional[float] = None) -> EstimateResult:
@@ -129,14 +143,14 @@ def naive_estimator(stats: SufficientStats, spec: Optional[ModelSpec] = None,
     return theta_check, predicted_bias
 
 
-def log_likelihood_ratio(stats: SufficientStats, theta_prime, theta) -> float:
-    """Quadratic log-likelihood ratio of theta_prime against theta."""
-    vp = theta_prime.as_array() if isinstance(theta_prime, ParamVector) else np.asarray(theta_prime, dtype=float)
-    v = theta.as_array() if isinstance(theta, ParamVector) else np.asarray(theta, dtype=float)
-    if vp.shape != stats.y.shape or v.shape != stats.y.shape:
-        raise ValueError("parameter dimensions do not match statistics")
-    d = vp - v
-    return float(d @ score_at(stats, v) - 0.5 * d @ stats.j @ d)
+def log_likelihood_ratio(stats: SufficientStats, theta_prime, theta):
+    """Quadratic log-likelihood ratio of theta_prime against theta.
+
+    A float for one record, an (R,) array for stacked statistics.
+    """
+    d = _param_of(stats, theta_prime) - _param_of(stats, theta)
+    llr = _row_dot(d, score_at(stats, theta)) - _row_dot((0.5 * d) @ stats.j, d)
+    return float(llr) if stats.y.ndim == 1 else llr
 
 
 def one_step(stats: SufficientStats, preliminary) -> EstimateResult:
@@ -144,16 +158,11 @@ def one_step(stats: SufficientStats, preliminary) -> EstimateResult:
 
     Equals the ML estimate whenever the gate passes; returns the preliminary
     value unchanged (rather than the zero-vector convention of the plain ML
-    definition) when it does not.
+    definition) where it does not.  One preliminary (p,) serves every record
+    of stacked statistics.
     """
-    prelim = np.asarray(preliminary, dtype=float)
-    if prelim.shape != stats.y.shape:
-        raise ValueError("preliminary estimate has wrong dimension")
+    prelim = _param_of(stats, preliminary)
     if not np.isfinite(prelim).all():
         raise ValueError("preliminary estimate must be finite")
-    sol, passed, w_min = _gated_solve(stats.j, stats.y - stats.j @ prelim)
-    if not passed:
-        return EstimateResult(theta_hat=prelim.copy(), j_invertible=False,
-                              conditioning=float(w_min), horizon=stats.t)
-    return EstimateResult(theta_hat=prelim + sol, j_invertible=True,
-                          conditioning=float(w_min), horizon=stats.t)
+    sol, passed, w_min = _gated_solve(stats.j, score_at(stats, prelim))
+    return _result(stats, np.where(passed[..., None], prelim + sol, prelim), passed, w_min)

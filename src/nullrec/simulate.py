@@ -384,12 +384,17 @@ def accumulate_stats(spec: ModelSpec, path: DiffusionPath,
                            x0=float(vals[0]))
 
 
-def score_at(stats: SufficientStats, theta) -> np.ndarray:
-    """Discretized score s(theta) = y - j theta."""
+def _param_of(stats: SufficientStats, theta) -> np.ndarray:
+    """theta as a (p,) array, checked against the statistics' dimension."""
     vec = theta.as_array() if isinstance(theta, ParamVector) else np.asarray(theta, dtype=float)
-    if vec.shape != stats.y.shape:
+    if vec.shape != stats.y.shape[-1:]:
         raise ValueError(f"parameter length {vec.shape} does not match stats {stats.y.shape}")
-    return stats.y - stats.j @ vec
+    return vec
+
+
+def score_at(stats: SufficientStats, theta) -> np.ndarray:
+    """Discretized score s(theta) = y - j theta: (p,), or (R, p) for stacked stats."""
+    return stats.y - stats.j @ _param_of(stats, theta)
 
 
 def detect_life_cycles(spec: ModelSpec, theta: ParamVector,

@@ -164,6 +164,16 @@ def test_estimate_stats_missing_key(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "'j'" in err
 
 
+def test_estimate_stats_rejects_stacked(tmp_path, capsys):
+    stats_file = tmp_path / "stats.json"
+    stats_file.write_text(json.dumps({"y": [[1, .5], [.3, .2]],
+                                      "j": [[[2, .1], [.1, 1]], [[1, 0], [0, 1]]],
+                                      "t": 10}))
+    code, out, err = run_cli(capsys, "estimate", "--stats", str(stats_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'y'" in err
+
+
 @pytest.mark.parametrize("data, name", [
     ({"kind": "identity", "replications": "10"}, "replications"),
     ({"kind": "identity", "horizons": None}, "horizons"),

@@ -15,6 +15,7 @@ from nullrec import (
     naive_estimator,
     one_step,
     restricted_mle,
+    score_at,
     simulate_path,
 )
 from nullrec.errors import DegenerateSampleError
@@ -162,6 +163,81 @@ def test_stacked_mle_equals_per_record(spec_sinc):
             assert est.j_invertible[i] == one.j_invertible
             assert est.conditioning[i] == one.conditioning
         np.testing.assert_array_equal(est.theta_hat[~est.j_invertible], 0.0)
+
+
+def _stacked_spd(p, seed=0):
+    """Stacked statistics of widely varying scale with gated records: a zero
+    J, a rank-one J, a J with one eigenvalue below the relative floor and a
+    negative definite J."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(60, p, p)) * rng.uniform(0.01, 100.0, size=(60, 1, 1))
+    j = a @ np.swapaxes(a, -1, -2) + 1e-3 * np.eye(p)
+    u = rng.normal(size=p)
+    j[5] = 0.0
+    j[17] = np.outer(u, u)
+    j[23] = np.eye(p)
+    j[23, 0, 0] = 1e-13 * p
+    j[41] = -np.eye(p)
+    y = rng.normal(size=(60, p)) * 10.0
+    return stats_of(y, j, t=5.0), rng
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7])
+def test_stacked_likelihood_bit_identical_per_record(p):
+    stacked, rng = _stacked_spd(p)
+    ones = [stats_of(stacked.y[i], stacked.j[i], t=5.0) for i in range(len(stacked.y))]
+    a, b = rng.normal(size=(2, p))
+    prelim = rng.normal(scale=3.0, size=p)
+
+    score = score_at(stacked, a)
+    assert score.shape == stacked.y.shape
+    assert np.array_equal(score, [score_at(one, a) for one in ones])
+
+    llr = log_likelihood_ratio(stacked, b, a)
+    assert llr.shape == (len(ones),)
+    d = b - a
+    per_record = [log_likelihood_ratio(one, b, a) for one in ones]
+    assert all(type(v) is float for v in per_record)
+    assert np.array_equal(llr, per_record)
+    # the record-wise formula, grouped as d.s - ((d/2) J).d
+    assert np.array_equal(llr, [float(d @ score_at(one, a) - 0.5 * d @ one.j @ d)
+                                for one in ones])
+
+    step = one_step(stacked, prelim)
+    est = mle(stacked)
+    assert step.theta_hat.shape == stacked.y.shape
+    assert np.array_equal(step.j_invertible, est.j_invertible)
+    assert np.array_equal(step.conditioning, est.conditioning)
+    gated = ~step.j_invertible
+    # for p = 1 a rank-one J is full rank and the floor is relative to J itself
+    expected = [5, 41] if p == 1 else [5, 17, 23, 41]
+    assert np.flatnonzero(gated).tolist() == expected
+    assert np.array_equal(step.theta_hat[gated], np.broadcast_to(prelim, (len(expected), p)))
+    for i, one in enumerate(ones):
+        single = one_step(one, prelim)
+        assert type(single.j_invertible) is bool and type(single.conditioning) is float
+        assert np.array_equal(step.theta_hat[i], single.theta_hat)
+        assert step.j_invertible[i] == single.j_invertible
+        assert step.conditioning[i] == single.conditioning
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+def test_likelihood_rejects_wrong_parameter_length(stacked):
+    st_, _ = _stacked_spd(2)
+    if not stacked:
+        st_ = stats_of(st_.y[0], st_.j[0])
+    good, bad = np.zeros(2), np.zeros(3)
+    with pytest.raises(ValueError):
+        score_at(st_, bad)
+    with pytest.raises(ValueError):
+        log_likelihood_ratio(st_, bad, good)
+    with pytest.raises(ValueError):
+        log_likelihood_ratio(st_, good, bad)
+    with pytest.raises(ValueError):
+        one_step(st_, bad)
+    # one preliminary serves the whole stack; a per-record one is refused
+    with pytest.raises(ValueError):
+        one_step(st_, np.zeros((len(st_.y), 2)) if stacked else np.zeros((1, 2)))
 
 
 def test_stacked_stats_shapes_checked():

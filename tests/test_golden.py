@@ -23,6 +23,11 @@ GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = {
     "identity": dict(kind="identity", theta1=0.1, theta2=(-0.3,), horizons=(20,),
                      dt=1e-2, replications=10, master_seed=5),
+    # 300 replications, so that a last-bit change in the per-replication
+    # algebra is likely to move a row maximum; three directions, sigma != 1
+    "identity_fourier": dict(kind="identity", basis="fourier-1", sigma=1.3,
+                             theta2=(0.2, -0.1), horizons=(2, 4), dt=1e-2,
+                             replications=300, master_seed=19),
     "rate": dict(kind="rate", theta1=0.0, theta2=(0.3,), horizons=(30, 60),
                  dt=1e-2, replications=40, master_seed=7, window=(-2.0, 2.0),
                  limit_draws=400),

@@ -136,6 +136,20 @@ def test_identity_deterministic():
         dataclasses.asdict(r) for r in b.rows]
 
 
+def test_identity_without_invertible_replication_fails():
+    # f1(0) = 0 and one Euler step from 0: J = 0 on every replication, so no
+    # identity is checked and the residual rows must not pass
+    cfg = ExperimentConfig(kind="identity", basis="none", theta2=(), horizons=(0.01,),
+                           dt=0.01, replications=5)
+    report = run_experiment(cfg)
+    assert not report.overall_pass
+    rows = report.find("singular_replications")
+    assert len(rows) == 1 and rows[0].value == 5.0
+    resid = [r for r in report.rows if r.stat_name.startswith("max_residual_")]
+    assert len(resid) == 4
+    assert all(math.isnan(r.value) and r.passed is False for r in resid)
+
+
 def test_rate_experiment_small_smoke():
     cfg = ExperimentConfig(kind="rate", theta1=0.0, theta2=(0.3,),
                            horizons=(30, 60), dt=1e-2, replications=40,
