@@ -163,6 +163,8 @@ class ExperimentConfig:
                              f"{sorted(unknown)}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.block_steps is not None and self.block_steps < 1:
+            raise ValueError(f"config key 'block_steps' must be >= 1, got {self.block_steps}")
         hz = tuple(self.horizons)
         if not hz or any(b <= a for a, b in zip(hz, hz[1:])):
             raise ValueError("horizons must be nonempty and increasing")

@@ -118,6 +118,10 @@ def n_threads() -> int:
     return value
 
 
+# elements per array in a lane chunk of _add_stats (256 KiB of float64)
+_STATS_CHUNK = 1 << 15
+
+
 def _default_block(lanes: int) -> int:
     return max(256, min(65536, 2_000_000 // max(lanes, 1)))
 
@@ -131,20 +135,38 @@ def _mirror_upper(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _add_stats(evals, xl, dx, y, jj, window=None):
-    """Add one block's left-point sums to y (L, p) and the upper triangle of jj.
+def _add_stats(psis, x, pb, kept, targets):
+    """Add one block's left-point sums to raw (y, jj) accumulators.
 
-    evals[i] is psi_i at the left points xl (L, b), dx the increments; with a
-    window, only steps that start inside it count.
+    pb (L, b) holds the path after each step and x (L,) the state before the
+    block.  kept maps a psi slot to its values at the left points; the other
+    slots are evaluated here.  Each (window, y, jj) of targets gets the sums
+    psi_i dx in y (L, p) and psi_i psi_l in the upper triangle of jj, over
+    every step (window None) or only over steps that start inside the window.
+
+    Lanes go through in chunks of about _STATS_CHUNK elements per array, so
+    that the temporaries stay in cache.  Each lane still sums along its own
+    row, so which lanes share a chunk cannot change a bit.
     """
-    if window is not None:
-        mask = (xl >= window[0]) & (xl <= window[1])
-        evals = [e * mask for e in evals]
-    p = len(evals)
-    for i in range(p):
-        y[:, i] += (evals[i] * dx).sum(axis=1)
-        for l in range(i, p):
-            jj[:, i, l] += (evals[i] * evals[l]).sum(axis=1)
+    lanes, b = pb.shape
+    p = len(psis)
+    rows = max(1, _STATS_CHUNK // b)
+    for lo in range(0, lanes, rows):
+        r = slice(lo, lo + rows)
+        xl = np.empty((min(rows, lanes - lo), b))
+        xl[:, 0] = x[r]
+        xl[:, 1:] = pb[r, :-1]
+        dx = pb[r] - xl
+        evals = [kept[i][r] if i in kept else f(xl) for i, f in enumerate(psis)]
+        for window, y, jj in targets:
+            ev = evals
+            if window is not None:
+                mask = (xl >= window[0]) & (xl <= window[1])
+                ev = [e * mask for e in evals]
+            for i in range(p):
+                y[r, i] += (ev[i] * dx).sum(axis=1)
+                for l in range(i, p):
+                    jj[r, i, l] += (ev[i] * ev[l]).sum(axis=1)
 
 
 def _scaled_stats(y, jj, sigma: float, dt: float):
@@ -190,11 +212,14 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
 
     x = np.full(lanes, spec.x0, dtype=float)
     out: dict = {}
+    targets = []  # the (window, y, jj) accumulators of _add_stats
     if want_stats:
         y = np.zeros((lanes, p))
         jj = np.zeros((lanes, p, p))
-        y_win = np.zeros((lanes, p)) if window is not None else None
-        j_win = np.zeros((lanes, p, p)) if window is not None else None
+        targets.append((None, y, jj))
+        if window is not None:
+            y_win, j_win = np.zeros((lanes, p)), np.zeros((lanes, p, p))
+            targets.append((window, y_win, j_win))
     if want_cycles:
         mode = [0] * lanes  # 0: await upcross, 1: await downcross
         r_times = [[] for _ in range(lanes)]
@@ -203,12 +228,11 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
         paths[:, 0] = x
     checkpoints = {}
     ck_iter = list(checkpoint_steps) if want_stats else []
-    # block buffers, reused by every block: pb holds x after each step, xl
-    # before it, kept[n] the Euler step's psi values of drift term n at xl
+    # block buffers, reused by every block: pb holds x after each step,
+    # kept[n] the Euler step's psi values of drift term n before it
     width = min(block_steps, n_steps)
     z = np.empty((lanes, width))
     pb = np.empty((lanes, width))
-    xl = np.empty((lanes, width)) if want_stats else None
     kept = [np.empty((lanes, width)) for _ in terms] if want_stats else []
     term_psis = [psis[i] for i, _ in terms]
     # 0-d array operands, as in basis: a Python float costs a scalar conversion
@@ -239,15 +263,8 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
                     cur += zk
                     xk[...] = cur
             if want_stats:
-                xlb = xl[:, :b]
-                xlb[:, 0] = x
-                xlb[:, 1:] = pbb[:, :-1]
-                dx = pbb - xlb
                 known = {i: kb[:, :b] for (i, _), kb in zip(terms, kept)}
-                evals = [known[i] if i in known else f(xlb) for i, f in enumerate(psis)]
-                _add_stats(evals, xlb, dx, y, jj)
-                if window is not None:
-                    _add_stats(evals, xlb, dx, y_win, j_win, window)
+                _add_stats(psis, x, pbb, known, targets)
             if want_cycles:
                 up = pbb > threshold
                 dn = pbb < 0.0
@@ -315,10 +332,13 @@ def run_ensemble(
     checkpoint_steps = tuple(
         sorted({n_steps_for(t, dt) for t in checkpoint_times if 0 < t <= horizon})
     )
+    for name, value in (("block_steps", block_steps), ("threads", threads)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if block_steps is None:
         block_steps = _default_block(replications)
 
-    threads = n_threads() if threads is None else max(1, threads)
+    threads = n_threads() if threads is None else threads
     bounds = np.linspace(0, replications, min(threads, replications) + 1).astype(int)
     spans = [(rep_offset + int(lo), rep_offset + int(hi))
              for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
@@ -375,12 +395,12 @@ def accumulate_stats(spec: ModelSpec, path: DiffusionPath,
     if vals.size < 1:
         raise ValueError("path must contain at least its starting point")
     psis = _psi_funcs(spec)
-    xl = vals[None, :-1]
     y = np.zeros((1, len(psis)))
     j = np.zeros((1, len(psis), len(psis)))
-    _add_stats([f(xl) for f in psis], xl, np.diff(vals)[None], y, j, window)
+    if vals.size > 1:
+        _add_stats(psis, vals[:1], vals[None, 1:], {}, [(window, y, j)])
     y, j = _scaled_stats(y, j, spec.sigma, path.dt)
-    return SufficientStats(y=y[0], j=j[0], t=xl.size * path.dt, window=window,
+    return SufficientStats(y=y[0], j=j[0], t=(vals.size - 1) * path.dt, window=window,
                            x0=float(vals[0]))
 
 

@@ -180,8 +180,11 @@ def test_estimate_stats_rejects_stacked(tmp_path, capsys):
     ({"kind": "identity", "tolerances": {"max_residual": "tiny"}}, "tolerances"),
     ({"kind": "identity", "horizons": [2], "replications": 2,
       "tolerances": {"max_residul": 0.0}}, "max_residul"),
+    ({"kind": "identity", "horizons": [1], "replications": 3, "block_steps": 0},
+     "block_steps"),
     ([1, 2], "JSON object"),
-], ids=["replications", "horizons", "tolerances", "tolerance_key", "not_an_object"])
+], ids=["replications", "horizons", "tolerances", "tolerance_key", "block_steps",
+        "not_an_object"])
 def test_experiment_malformed_config(tmp_path, capsys, data, name):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(data))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from nullrec import (
     score_at,
     simulate_path,
 )
+from nullrec import simulate
 from nullrec.simulate import lane_rng, n_steps_for, n_threads
 
 
@@ -291,3 +294,49 @@ def test_block_size_does_not_change_results(spec_sinc):
 def test_non_finite_horizon_or_dt_rejected(spec_plain, theta_zero, name, horizon, dt):
     with pytest.raises(ValueError, match=name):
         run_ensemble(spec_plain, theta_zero, horizon, dt, 1, 1)
+
+
+@pytest.mark.parametrize("name, value", [("block_steps", 0), ("block_steps", -5),
+                                         ("threads", 0), ("threads", -4)])
+def test_block_steps_and_threads_must_be_positive(spec_sinc, theta_sinc, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        run_ensemble(spec_sinc, theta_sinc, 1.0, 1e-2, 1, 3, **{name: value})
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("basis, theta1", [("sinc", 0.0), ("sinc", 0.1),
+                                           ("fourier-1", 0.0)])
+def test_lane_chunks_do_not_change_results(monkeypatch, basis, theta1, threads):
+    # one lane per chunk against the whole block in one chunk; 173-step blocks
+    # put the checkpoint mid-block and leave a partial last block
+    spec = ModelSpec.from_names(1.0, basis)
+    theta = ParamVector(theta1, (0.3, -0.2)[:spec.m])
+
+    def run(chunk):
+        monkeypatch.setattr(simulate, "_STATS_CHUNK", chunk)
+        return run_ensemble(spec, theta, 10.0, 1e-2, 5, 7, window=(-1.0, 1.5),
+                            checkpoint_times=(4.321,), block_steps=173,
+                            threads=threads)
+
+    per_lane, whole = run(1), run(1 << 30)
+    for key in ("y", "j", "y_win", "j_win"):
+        assert np.array_equal(getattr(per_lane, key), getattr(whole, key))
+    assert per_lane.checkpoints.keys() == whole.checkpoints.keys() == {4.32}
+    for got, want in zip(per_lane.checkpoints[4.32], whole.checkpoints[4.32]):
+        assert np.array_equal(got, want)
+
+
+def test_stats_peak_allocation_is_the_block_buffers(spec_sinc, theta_sinc):
+    # 50 lanes in one 40000-step block with stats and a window: beyond the
+    # block buffers (z, pb and one kept psi array for the one drift term),
+    # the (y, J) accumulation may only hold lane-chunk temporaries
+    lanes, steps = 50, 40_000
+    buffers = 3 * lanes * steps * 8
+    tracemalloc.start()
+    try:
+        run_ensemble(spec_sinc, theta_sinc, steps * 1e-2, 1e-2, 3, lanes,
+                     window=(-2.0, 2.0), block_steps=steps, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffers + (8 << 20)
