@@ -170,12 +170,17 @@ def _drift_terms(spec: ModelSpec, theta: ParamVector) -> tuple:
     return tuple((i, c) for i, c in enumerate((theta.theta1,) + theta.theta2) if c != 0.0)
 
 
-def _drift_sum(terms, values):
-    """b(x) = sum_n c_n * values[n] over nonempty terms, values[n] = psi_{slot_n}(x)."""
-    out = terms[0][1] * values[0]
-    for (_, c), v in zip(terms[1:], values[1:]):
-        out = out + c * v
-    return out
+def _drift_sum(terms, values, out=None):
+    """b(x) = sum_n c_n * values[n] over nonempty terms, values[n] = psi_{slot_n}(x).
+
+    With out (not overlapping values) the sum is written there and returned.
+    """
+    pairs = zip(terms, values)
+    (_, c), v = next(pairs)
+    total = np.multiply(c, v, out=out)
+    for (_, c), v in pairs:
+        total = np.add(total, c * v, out=out)
+    return total
 
 
 def eval_drift(spec: ModelSpec, theta: ParamVector, x):

@@ -38,6 +38,20 @@ def test_sinc_bit_identical_to_numpy_sinc():
     assert sinc(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("name", ["sinc", "fourier-2"])
+def test_funcs_out_bit_identical(name):
+    # f(x, out=buf) writes the bits of f(x) into buf and returns it, for a
+    # contiguous vector and for a strided column of an (L, b) array
+    x = np.random.default_rng(7).standard_normal(64) * 30.0
+    x[:6] = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300)
+    with np.errstate(over="ignore"):  # x * x at 1e300
+        for f in (principal_f1,) + make_basis(name).funcs:
+            want = f(x)
+            for buf in (np.empty(x.size), np.empty((x.size, 5))[:, 3]):
+                assert f(x, out=buf) is buf
+                assert buf.tobytes() == want.tobytes()
+
+
 def test_sinc_limits_against_coarse_quadrature():
     # oracle: direct high-resolution quadrature out to S, remainder below 2/S
     b = make_basis("sinc")

@@ -122,13 +122,20 @@ def test_stats_match_ensemble(spec_sinc, theta_sinc):
         np.testing.assert_allclose(res.j[lane], st.j, rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.parametrize("basis", ["sinc", "fourier-1", "none"])
-@pytest.mark.parametrize("theta1", [0.0, 0.2])
+# theta2 per basis; fourier-2 has a zero coefficient between nonzero ones,
+# which pins the slot of each kept psi column and the order of the drift sum
+THETA2 = {"none": (), "sinc": (0.3,), "fourier-1": (0.3, -0.2),
+          "fourier-2": (0.2, 0.0, -0.1, 0.3)}
+
+
+@pytest.mark.parametrize("theta1, basis", [
+    (t1, b) for t1 in (0.0, 0.2) for b in ("fourier-1", "none", "sinc")
+] + [(0.1, "fourier-2")])
 def test_kernel_stats_equal_accumulate_stats(basis, theta1):
     # one lane in one block: the kernel's psi values, taken at each Euler step,
     # must give the same bits as evaluating the stored path in one call
     spec = ModelSpec.from_names(1.3, basis, 0.4)
-    theta = ParamVector(theta1, (0.3, -0.2)[:spec.m])
+    theta = ParamVector(theta1, THETA2[basis])
     horizon, dt, window = 40.0, 1e-2, (-1.0, 2.0)
     res = run_ensemble(spec, theta, horizon, dt, 9, 1, window=window,
                        store_path=True, block_steps=n_steps_for(horizon, dt), threads=1)
@@ -139,16 +146,32 @@ def test_kernel_stats_equal_accumulate_stats(basis, theta1):
         assert np.array_equal(got_j[0], st.j)
 
 
-@pytest.mark.parametrize("basis", ["sinc", "fourier-1"])
-@pytest.mark.parametrize("theta1", [0.0, -0.15])
+@pytest.mark.parametrize("theta1, basis", [
+    (t1, b) for t1 in (-0.15, 0.0) for b in ("fourier-1", "sinc")
+] + [(0.1, "fourier-2")])
 def test_kernel_step_uses_eval_drift(basis, theta1):
     sigma, x0, dt, seed = 1.3, 0.7, 1e-2, 23
     spec = ModelSpec.from_names(sigma, basis, x0)
-    theta = ParamVector(theta1, (0.3, -0.2)[:spec.m])
+    theta = ParamVector(theta1, THETA2[basis])
     res = run_ensemble(spec, theta, dt, dt, seed, 1, store_path=True, threads=1)
     z0 = lane_rng(seed, 0).standard_normal()
     want = x0 + eval_drift(spec, theta, x0) * dt + sigma * np.sqrt(dt) * z0
     assert res.paths[0].tolist() == [x0, want]
+
+
+def test_stats_off_path_equals_stats_on(spec_sinc):
+    # the stats-on step also copies psi into the kept block columns; paths,
+    # crossings and final states agree bit for bit
+    th = ParamVector(0.1, (-0.3,))
+    kwargs = dict(want_cycles=True, threshold=0.5, store_path=True, block_steps=977)
+    on = run_ensemble(spec_sinc, th, 30.0, 1e-2, 43, 3, **kwargs)
+    off = run_ensemble(spec_sinc, th, 30.0, 1e-2, 43, 3, want_stats=False, **kwargs)
+    assert off.y is None and on.y is not None
+    assert on.paths.tobytes() == off.paths.tobytes()
+    assert on.final_x.tobytes() == off.final_x.tobytes()
+    assert sum(r.size for r in on.r_times) > 0
+    for got, want in zip(off.r_times, on.r_times):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- cycles
@@ -336,6 +359,21 @@ def test_stats_peak_allocation_is_the_block_buffers(spec_sinc, theta_sinc):
     try:
         run_ensemble(spec_sinc, theta_sinc, steps * 1e-2, 1e-2, 3, lanes,
                      window=(-2.0, 2.0), block_steps=steps, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffers + (8 << 20)
+
+
+def test_stats_off_peak_allocation_is_z_and_pb(spec_sinc):
+    # the same block without stats, two drift terms: each step's psi values
+    # go to (L,) scratch vectors, so only z and pb are block-sized
+    lanes, steps = 50, 40_000
+    buffers = 2 * lanes * steps * 8
+    tracemalloc.start()
+    try:
+        run_ensemble(spec_sinc, ParamVector(0.1, (0.3,)), steps * 1e-2, 1e-2, 3, lanes,
+                     want_stats=False, block_steps=steps, threads=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
