@@ -110,9 +110,9 @@ def _validate(args: argparse.Namespace) -> None:
             require_valid_theta(*_model_from(args))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    if args.subcommand in ("simulate", "check") and args.seed < 0:
-        # lane_rng would mask a negative seed to 64 bits without a word
-        raise UsageError("--seed must be nonnegative")
+    if args.subcommand in ("simulate", "limits", "check") and not 0 <= args.seed < 1 << 64:
+        # lane_rng would mask the seed to 64 bits without a word
+        raise UsageError("--seed must lie in [0, 2^64)")
     if args.subcommand == "limits" and args.n < 1:
         raise UsageError("--n must be >= 1")
     if args.subcommand == "limits" and args.dim is not None and args.dim < 1:
@@ -244,7 +244,7 @@ def _cmd_limits(args: argparse.Namespace) -> int:
         draws = sample_limit_error(law, rng, size=args.n)
         header = ",".join(f"z{i}" for i in range(law.dim))
         lines = [header]
-        lines.extend(",".join(repr(float(v)) for v in row) for row in np.atleast_2d(draws))
+        lines.extend(",".join(repr(float(v)) for v in row) for row in draws)
         _write_text("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -13,12 +13,10 @@ row the bits of the per-record call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateSampleError, DegenerateWindowError
-from .model import ModelSpec, ParamVector, mu_moment_matrix
 from .simulate import SufficientStats, _param_of, score_at
 
 __all__ = [
@@ -47,7 +45,6 @@ class EstimateResult:
     theta_hat: np.ndarray
     j_invertible: bool | np.ndarray
     conditioning: float | np.ndarray
-    horizon: float
 
 
 def _gated_solve(j: np.ndarray, rhs: np.ndarray):
@@ -72,8 +69,7 @@ def _result(stats: SufficientStats, theta_hat, passed, w_min) -> EstimateResult:
     """EstimateResult with python scalar gate and conditioning for one record."""
     if stats.y.ndim == 1:
         passed, w_min = bool(passed), float(w_min)
-    return EstimateResult(theta_hat=theta_hat, j_invertible=passed,
-                          conditioning=w_min, horizon=stats.t)
+    return EstimateResult(theta_hat=theta_hat, j_invertible=passed, conditioning=w_min)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -90,19 +86,18 @@ def mle(stats: SufficientStats) -> EstimateResult:
     return _result(stats, *_gated_solve(stats.j, stats.y))
 
 
-def restricted_mle(stats: SufficientStats, x0: Optional[float] = None) -> EstimateResult:
+def restricted_mle(stats: SufficientStats) -> EstimateResult:
     """ML solve on window-restricted statistics.
 
-    The window must be present, and the starting point (stats.x0, or the x0
-    argument when given) must lie in its interior.
+    The window must be present, and the starting point stats.x0 must lie in
+    its interior.
     """
     if stats.window is None:
         raise DegenerateWindowError("restricted estimator needs windowed statistics")
     a, b = stats.window
-    start = stats.x0 if x0 is None else float(x0)
-    if not a < start < b:
+    if not a < stats.x0 < b:
         raise DegenerateWindowError(
-            f"starting point {start} is not interior to the window [{a}, {b}]"
+            f"starting point {stats.x0} is not interior to the window [{a}, {b}]"
         )
     return mle(stats)
 
@@ -116,31 +111,18 @@ def _ratio_bias(matrix: np.ndarray, theta2) -> float:
     return float(np.asarray(theta2, dtype=float) @ matrix[0, 1:] / matrix[0, 0])
 
 
-def naive_estimator(stats: SufficientStats, spec: Optional[ModelSpec] = None,
-                    theta_true: Optional[ParamVector] = None):
+def naive_estimator(stats: SufficientStats):
     """One-dimensional ratio estimate y_1/j_11 of the principal parameter.
 
-    For stacked statistics the estimate is an (R,) array, else a float.  When
-    the true parameter is supplied (and a model to integrate under), the
-    almost-sure limit of its bias, sum_nu t2_nu mu(f1 f_{2,nu}) / mu(f1^2),
-    is evaluated by quadrature and returned alongside.
+    For stacked statistics the estimate is an (R,) array, else a float.  Its
+    almost-sure bias, _ratio_bias of the moment matrix, is rlt's
+    b_check_predicted row.
     """
     j11 = stats.j[..., 0, 0]
     if np.any(j11 <= 0.0):
         raise DegenerateSampleError("j_11 must be positive for the ratio estimate")
     theta_check = stats.y[..., 0] / j11
-    if stats.y.ndim == 1:
-        theta_check = float(theta_check)
-    predicted_bias = None
-    if theta_true is not None:
-        if spec is None:
-            raise ValueError("predicted bias needs the model spec")
-        if any(c != 0.0 for c in theta_true.theta2):
-            predicted_bias = _ratio_bias(mu_moment_matrix(spec, theta_true),
-                                         theta_true.theta2)
-        else:
-            predicted_bias = 0.0
-    return theta_check, predicted_bias
+    return float(theta_check) if stats.y.ndim == 1 else theta_check
 
 
 def log_likelihood_ratio(stats: SufficientStats, theta_prime, theta):

@@ -161,10 +161,16 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown tolerance keys for kind {self.kind!r}: "
                              f"{sorted(unknown)}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.block_steps is not None and self.block_steps < 1:
-            raise ValueError(f"config key 'block_steps' must be >= 1, got {self.block_steps}")
+        for key, low in (("replications", 1), ("block_steps", 1), ("limit_draws", 1),
+                         ("target_cycles", 1), ("max_waves", 1), ("bound_draws", 2)):
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise ValueError(f"config key {key!r} must be >= {low}, got {value}")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ValueError(f"config key 'master_seed' must lie in [0, 2^64), "
+                             f"got {self.master_seed}")
+        if self.hill_frac is not None and not 0.0 < self.hill_frac < 1.0:
+            raise ValueError(f"config key 'hill_frac' must lie in (0, 1), got {self.hill_frac}")
         hz = tuple(self.horizons)
         if not hz or any(b <= a for a, b in zip(hz, hz[1:])):
             raise ValueError("horizons must be nonempty and increasing")
@@ -555,7 +561,7 @@ def _rlt_rows(config: ExperimentConfig, spec, theta) -> list:
     rows.append(ReportRow(horizon, None, "b_check_predicted", predicted, None, None))
 
     est = _ensemble_mle(res, horizon, spec.x0)
-    naive, _ = naive_estimator(SufficientStats(y=res.y, j=res.j, t=horizon))
+    naive = naive_estimator(SufficientStats(y=res.y, j=res.j, t=horizon))
     naive_dev = np.abs(naive - theta.theta1)
     mle_dev = np.abs(est.theta_hat[est.j_invertible, 0] - theta.theta1)
     factor = config.tol("naive_vs_mle_factor")

@@ -94,15 +94,13 @@ def inv_sqrt_spd(cov: np.ndarray) -> np.ndarray:
     return v @ np.diag(w ** -0.5) @ v.T
 
 
-def sample_limit_error(law: LimitLawSpec, rng: np.random.Generator, size=None):
-    """Draws of C^(-1/2) B(V)/V: Gaussian scale mixture over V."""
-    scalar = size is None
-    n = 1 if scalar else int(size)
+def sample_limit_error(law: LimitLawSpec, rng: np.random.Generator, size: int):
+    """(size, dim) draws of C^(-1/2) B(V)/V: Gaussian scale mixture over V."""
+    n = int(size)
     root = inv_sqrt_spd(law.cov)
     v = sample_mittag_leffler(law.alpha, rng, size=n)
     g = rng.standard_normal((n, law.dim))
-    out = (g @ root) / np.sqrt(v)[:, None]
-    return out[0] if scalar else out
+    return (g @ root) / np.sqrt(v)[:, None]
 
 
 def make_loss(name: str, clip: float = 4.0):

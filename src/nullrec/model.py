@@ -34,7 +34,6 @@ __all__ = [
     "invariant_density",
     "asymptotic_constants",
     "norming",
-    "mu_integral",
     "mu_moment_matrix",
     "information_scale_matrix",
     "classify_recurrence",
@@ -42,7 +41,7 @@ __all__ = [
     "theta_in_domain",
 ]
 
-# Error bound on every moment, for mu_integral and each mu_moment_matrix entry.
+# Error bound on each mu_moment_matrix entry.
 _MU_TOL = 1e-8
 
 # Moment matrix rule: Gauss-Kronrod (10, 21) panels aligned to 2*pi, one
@@ -194,15 +193,6 @@ def eval_drift(spec: ModelSpec, theta: ParamVector, x):
     return out if out.shape else float(out)
 
 
-def _quad_checked(f, a, b, *, epsabs=1e-11, epsrel=1e-11, limit=200, what=""):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, abserr = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
-    if not math.isfinite(val):
-        raise QuadratureError(f"quadrature returned non-finite value for {what}")
-    return val, abserr
-
-
 def antiderivative_F(spec: ModelSpec, nu: int, x):
     """F_{2,nu}(x) = int_0^x f_{2,nu}(y) dy; nu is 1-based; vectorized in x."""
     if not 1 <= nu <= spec.m:
@@ -238,9 +228,14 @@ def scale_function(spec: ModelSpec, theta: ParamVector, x: float) -> float:
         return 0.0
     # one QUADPACK call across many decades can be off by far more than its abserr
     edges = [0.0] + [math.copysign(10.0**k, x) for k in range(math.ceil(math.log10(abs(x))))]
-    parts = [_quad_checked(lambda y: float(_scale_density(spec, theta, y)), a, b, limit=300,
-                           what="scale function") for a, b in zip(edges, edges[1:] + [x])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        parts = [quad(lambda y: float(_scale_density(spec, theta, y)), a, b,
+                      epsabs=1e-11, epsrel=1e-11, limit=300)
+                 for a, b in zip(edges, edges[1:] + [x])]
     val, abserr = (math.fsum(p) for p in zip(*parts))
+    if not math.isfinite(val):
+        raise QuadratureError("quadrature returned non-finite value for scale function")
     if abserr > 1e-7 * max(1.0, abs(val)):
         raise QuadratureError(f"scale function quadrature error {abserr:.2e}")
     return val
@@ -300,30 +295,6 @@ def norming(spec: ModelSpec, theta: ParamVector, n) -> tuple:
     alpha_n = float(n) ** c.alpha * c.d_weight / (c.psi_plus + c.psi_minus)
     delta_n = float(n) ** (-0.5 * c.alpha)
     return alpha_n, delta_n
-
-
-def mu_integral(spec: ModelSpec, theta: ParamVector, g, window=None) -> float:
-    """Integral of g against the invariant measure, over window or the line.
-
-    QUADPACK on an arbitrary scalar g; the result is accepted only when the
-    error estimate is at most _MU_TOL.
-    """
-    require_valid_theta(spec, theta)
-
-    def integrand(x):
-        return float(g(x) * invariant_density(spec, theta, x))
-
-    if window is not None:
-        a, b = float(window[0]), float(window[1])
-        if not a < b:
-            raise DegenerateWindowError(f"window [{a}, {b}] has empty interior")
-        val, abserr = _quad_checked(integrand, a, b, limit=400, what="mu integral")
-    else:
-        val, abserr = _quad_checked(integrand, -np.inf, np.inf, limit=800,
-                                    what="mu integral")
-    if abserr > _MU_TOL:
-        raise QuadratureError(f"mu integral error estimate {abserr:.2e} too large")
-    return val
 
 
 def _gk_panels(spec, theta, lo, hi):

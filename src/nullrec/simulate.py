@@ -21,7 +21,7 @@ import inspect
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -50,8 +50,6 @@ _MASK64 = (1 << 64) - 1
 class DiffusionPath:
     dt: float
     values: np.ndarray
-    horizon: float
-    seed: int
 
 
 @dataclass
@@ -198,7 +196,7 @@ def _scan_crossings(up, dn, mode):
 
 def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
                     want_stats, want_cycles, threshold, checkpoint_steps,
-                    store_path, block_steps) -> dict:
+                    store_path, block_steps) -> EnsembleResult:
     """Simulate lanes [lane_lo, lane_hi) and return their accumulations.
 
     Module level so that a partial of it can run in worker processes.  Lane
@@ -213,7 +211,6 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
     p = len(psis)
 
     x = np.full(lanes, spec.x0, dtype=float)
-    out: dict = {}
     targets = []  # the (window, y, jj) accumulators of _add_stats
     if want_stats:
         y = np.zeros((lanes, p))
@@ -303,17 +300,33 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
         if done in ck_iter:
             checkpoints[done * dt] = _scaled_stats(y, jj.copy(), spec.sigma, dt)
 
+    res = EnsembleResult(final_x=x)
     if want_stats:
-        out["y"], out["j"] = _scaled_stats(y, jj, spec.sigma, dt)
+        res.y, res.j = _scaled_stats(y, jj, spec.sigma, dt)
         if window is not None:
-            out["y_win"], out["j_win"] = _scaled_stats(y_win, j_win, spec.sigma, dt)
-        out["checkpoints"] = checkpoints
+            res.y_win, res.j_win = _scaled_stats(y_win, j_win, spec.sigma, dt)
+        res.checkpoints = checkpoints
     if want_cycles:
-        out["r_times"] = [np.array(r) for r in r_times]
+        res.r_times = [np.array(r) for r in r_times]
     if store_path:
-        out["paths"] = paths
-    out["final_x"] = x
-    return out
+        res.paths = paths
+    return res
+
+
+def _merge(parts: list) -> EnsembleResult:
+    """One EnsembleResult of consecutive lane chunks, stacked field by field."""
+    def stack(values):
+        if values[0] is None:
+            return None
+        if isinstance(values[0], list):  # r_times
+            return [arr for v in values for arr in v]
+        if isinstance(values[0], dict):  # checkpoints: t -> (y, j)
+            return {t: tuple(map(np.concatenate, zip(*(v[t] for v in values))))
+                    for t in values[0]}
+        return np.concatenate(values)
+
+    return EnsembleResult(**{f.name: stack([getattr(p, f.name) for p in parts])
+                             for f in fields(EnsembleResult)})
 
 
 def run_ensemble(
@@ -367,36 +380,12 @@ def run_ensemble(
         threshold=threshold, checkpoint_steps=checkpoint_steps,
         store_path=store_path, block_steps=block_steps)
     if len(spans) == 1:
-        results = [chunk(spans[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+        return chunk(spans[0])
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            results = list(pool.map(chunk, spans))
-
-    res = EnsembleResult()
-
-    def cat(key):
-        parts = [r[key] for r in results if key in r]
-        return np.concatenate(parts, axis=0) if parts else None
-
-    if want_stats:
-        res.y, res.j = cat("y"), cat("j")
-        if window is not None:
-            res.y_win, res.j_win = cat("y_win"), cat("j_win")
-        merged = {}
-        for t in results[0].get("checkpoints", {}):
-            merged[t] = (
-                np.concatenate([r["checkpoints"][t][0] for r in results]),
-                np.concatenate([r["checkpoints"][t][1] for r in results]),
-            )
-        res.checkpoints = merged
-    if want_cycles:
-        res.r_times = [arr for r in results for arr in r["r_times"]]
-    if store_path:
-        res.paths = cat("paths")
-    res.final_x = cat("final_x")
-    return res
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        parts = list(pool.map(chunk, spans))
+    return _merge(parts)
 
 
 def simulate_path(spec: ModelSpec, theta: ParamVector, horizon: float, dt: float,
@@ -404,7 +393,7 @@ def simulate_path(spec: ModelSpec, theta: ParamVector, horizon: float, dt: float
     """One trajectory on the grid 0, dt, ..., floor(horizon/dt)*dt."""
     res = run_ensemble(spec, theta, horizon, dt, seed, 1,
                        want_stats=False, store_path=True, threads=1)
-    return DiffusionPath(dt=dt, values=res.paths[0], horizon=horizon, seed=seed)
+    return DiffusionPath(dt=dt, values=res.paths[0])
 
 
 def accumulate_stats(spec: ModelSpec, path: DiffusionPath,

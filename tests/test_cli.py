@@ -156,6 +156,19 @@ def test_limits_dim_validation(capsys, dim):
     assert code == 2 and err == "error: --dim must be >= 1\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--sigma", "1", "--theta1", "0", "--horizon", "1", "--dt", "0.1"],
+    ["limits", "--alpha", "0.5", "--n", "10"],
+    ["check"],
+], ids=["simulate", "limits", "check"])
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_seed_outside_64_bits_rejected(capsys, command, seed):
+    # lane_rng masks the seed to 64 bits, so -1 would alias 2^64 - 1
+    code, out, err = run_cli(capsys, *command, "--seed", seed)
+    assert code == 2 and out == ""
+    assert err == "error: --seed must lie in [0, 2^64)\n"
+
+
 def test_estimate_stats_missing_key(tmp_path, capsys):
     stats_file = tmp_path / "stats.json"
     stats_file.write_text(json.dumps({"y": [0.1], "t": 1.0}))
@@ -183,8 +196,17 @@ def test_estimate_stats_rejects_stacked(tmp_path, capsys):
     ({"kind": "identity", "horizons": [1], "replications": 3, "block_steps": 0},
      "block_steps"),
     ([1, 2], "JSON object"),
+    ({"kind": "identity", "master_seed": -1}, "master_seed"),
+    ({"kind": "identity", "master_seed": 1 << 64}, "master_seed"),
+    ({"kind": "tail", "hill_frac": -1.0}, "hill_frac"),
+    ({"kind": "tail", "hill_frac": 1.0}, "hill_frac"),
+    ({"kind": "tail", "max_waves": 0}, "max_waves"),
+    ({"kind": "tail", "target_cycles": 0}, "target_cycles"),
+    ({"kind": "rate", "limit_draws": 0}, "limit_draws"),
+    ({"kind": "risk", "bound_draws": 1}, "bound_draws"),
 ], ids=["replications", "horizons", "tolerances", "tolerance_key", "block_steps",
-        "not_an_object"])
+        "not_an_object", "master_seed_negative", "master_seed_too_big", "hill_frac_negative",
+        "hill_frac_one", "max_waves", "target_cycles", "limit_draws", "bound_draws"])
 def test_experiment_malformed_config(tmp_path, capsys, data, name):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(data))

@@ -19,7 +19,6 @@ from nullrec import (
     simulate_path,
 )
 from nullrec.errors import DegenerateSampleError
-from nullrec.model import mu_moment_matrix
 
 
 def stats_of(y, j, t=1.0, window=None, x0=0.0):
@@ -249,36 +248,21 @@ def test_stacked_stats_shapes_checked():
 
 # ------------------------------------------------------------------ naive
 
-def test_naive_matches_mle_first_coord_when_m0(spec_plain):
+def test_naive_matches_mle_first_coord_when_m0():
     st_ = stats_of([0.8], [[2.0]])
-    check, bias = naive_estimator(st_)
+    check = naive_estimator(st_)
+    assert isinstance(check, float)
     assert check == pytest.approx(mle(st_).theta_hat[0])
-    assert bias is None
 
 
-def test_naive_zero_bias_without_secondary(spec_plain):
-    _, bias = naive_estimator(stats_of([0.8], [[2.0]]), spec_plain,
-                              ParamVector(0.2))
-    assert bias == 0.0
-
-
-def test_naive_bias_prediction_quadrature(spec_sinc):
-    th = ParamVector(0.0, (0.5,))
-    _, bias = naive_estimator(stats_of([0.8, 0.1], np.eye(2)), spec_sinc, th)
-    lam = mu_moment_matrix(spec_sinc, th)
-    assert bias == pytest.approx(0.5 * lam[0, 1] / lam[0, 0], rel=1e-12)
-
-
-def test_naive_stacked_matches_rows(spec_sinc):
+def test_naive_stacked_matches_rows():
     rng = np.random.default_rng(8)
     y = rng.standard_normal((5, 2))
     j = np.eye(2) * rng.uniform(0.5, 2.0, (5, 1, 1))
-    th = ParamVector(0.0, (0.5,))
-    check, bias = naive_estimator(stats_of(y, j), spec_sinc, th)
+    check = naive_estimator(stats_of(y, j))
     assert check.shape == (5,)
     for r in range(5):
-        row_check, row_bias = naive_estimator(stats_of(y[r], j[r]), spec_sinc, th)
-        assert check[r] == row_check and bias == row_bias
+        assert check[r] == naive_estimator(stats_of(y[r], j[r]))
 
 
 def test_naive_degenerate():

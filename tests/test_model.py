@@ -30,7 +30,6 @@ from nullrec.model import (
     _GK_X,
     _moment_matrix_and_error,
     _scale_density,
-    mu_integral,
 )
 
 
@@ -388,15 +387,6 @@ def test_fourier_gram_nonsingular():
     gram = np.array([[np.sum(f(xs) * g(xs)) * w for g in funcs] for f in funcs])
     assert np.linalg.matrix_rank(gram, tol=1e-10) == len(funcs)
     assert np.min(np.linalg.eigvalsh(gram)) > 0
-
-
-def test_mu_integral_matches_closed_form(spec_plain):
-    th = ParamVector(0.25)
-    # mu(exp(-x^2)) with density (1+x^2)^(1/4): cross-check with direct quad
-    ref, _ = quad(lambda x: math.exp(-x * x) * (1 + x * x) ** 0.25,
-                  -np.inf, np.inf)
-    got = mu_integral(spec_plain, th, lambda x: math.exp(-x * x))
-    assert got == pytest.approx(ref, rel=1e-9)
 
 
 # ------------------------------------------------------------ recurrence

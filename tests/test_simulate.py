@@ -53,7 +53,7 @@ def test_theta_outside_domain_rejected(spec_plain):
 # ---------------------------------------------------------------- stats
 
 def test_stats_single_point(spec_sinc):
-    p = DiffusionPath(dt=0.01, values=np.array([0.3]), horizon=0.0, seed=0)
+    p = DiffusionPath(dt=0.01, values=np.array([0.3]))
     st = accumulate_stats(spec_sinc, p)
     np.testing.assert_array_equal(st.y, np.zeros(2))
     np.testing.assert_array_equal(st.j, np.zeros((2, 2)))
@@ -62,7 +62,7 @@ def test_stats_single_point(spec_sinc):
 
 def test_stats_two_point_plain(spec_plain):
     h = 0.7
-    p = DiffusionPath(dt=0.01, values=np.array([0.0, h]), horizon=0.01, seed=0)
+    p = DiffusionPath(dt=0.01, values=np.array([0.0, h]))
     st = accumulate_stats(spec_plain, p)
     assert st.y[0] == 0.0  # f1(0) = 0
     assert st.j[0, 0] == 0.0
@@ -70,7 +70,7 @@ def test_stats_two_point_plain(spec_plain):
 
 def test_stats_two_point_sinc(spec_sinc):
     h, dt = 0.7, 0.01
-    p = DiffusionPath(dt=dt, values=np.array([0.0, h]), horizon=dt, seed=0)
+    p = DiffusionPath(dt=dt, values=np.array([0.0, h]))
     st = accumulate_stats(spec_sinc, p)
     assert st.y[1] == pytest.approx(h)    # sinc(0) = 1
     assert st.j[1, 1] == pytest.approx(dt)
@@ -115,8 +115,7 @@ def test_stats_match_ensemble(spec_sinc, theta_sinc):
         res1 = run_ensemble(spec_sinc, theta_sinc, horizon, dt, seed, 1,
                             rep_offset=lane, store_path=True)
         st = accumulate_stats(spec_sinc,
-                              DiffusionPath(dt=dt, values=res1.paths[0],
-                                            horizon=horizon, seed=seed),
+                              DiffusionPath(dt=dt, values=res1.paths[0]),
                               window=None)
         np.testing.assert_allclose(res.y[lane], st.y, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(res.j[lane], st.j, rtol=1e-9, atol=1e-12)
@@ -139,7 +138,7 @@ def test_kernel_stats_equal_accumulate_stats(basis, theta1):
     horizon, dt, window = 40.0, 1e-2, (-1.0, 2.0)
     res = run_ensemble(spec, theta, horizon, dt, 9, 1, window=window,
                        store_path=True, block_steps=n_steps_for(horizon, dt), threads=1)
-    path = DiffusionPath(dt=dt, values=res.paths[0], horizon=horizon, seed=9)
+    path = DiffusionPath(dt=dt, values=res.paths[0])
     for got_y, got_j, win in ((res.y, res.j, None), (res.y_win, res.j_win, window)):
         st = accumulate_stats(spec, path, window=win)
         assert np.array_equal(got_y[0], st.y)
@@ -177,14 +176,14 @@ def test_stats_off_path_equals_stats_on(spec_sinc):
 # ---------------------------------------------------------------- cycles
 
 def test_threshold_identity_at_zero(spec_plain, theta_zero):
-    p = DiffusionPath(dt=1.0, values=np.array([0.0, 0.5, 0.0]), horizon=2.0, seed=0)
+    p = DiffusionPath(dt=1.0, values=np.array([0.0, 0.5, 0.0]))
     rec = detect_life_cycles(spec_plain, theta_zero, p)
     assert rec.threshold == pytest.approx(1.0, abs=1e-9)
 
 
 def test_no_cycles_below_threshold(spec_plain, theta_zero):
     vals = np.array([0.0, 0.5, 0.9, 0.2, -0.5, 0.9])
-    p = DiffusionPath(dt=1.0, values=vals, horizon=5.0, seed=0)
+    p = DiffusionPath(dt=1.0, values=vals)
     rec = detect_life_cycles(spec_plain, theta_zero, p)
     assert rec.r_times.size == 0
     assert rec.durations.size == 0
@@ -193,7 +192,7 @@ def test_no_cycles_below_threshold(spec_plain, theta_zero):
 def test_sawtooth_single_duration(spec_plain, theta_zero):
     # up over 1, down below 0, up over 1 again, down below 0: two R's, one cycle
     vals = np.array([0.0, 1.2, 0.4, -0.1, 0.6, 1.5, 0.2, -0.3, 0.1])
-    p = DiffusionPath(dt=0.5, values=vals, horizon=4.0, seed=0)
+    p = DiffusionPath(dt=0.5, values=vals)
     rec = detect_life_cycles(spec_plain, theta_zero, p)
     np.testing.assert_allclose(rec.r_times, [1.5, 3.5])
     np.testing.assert_allclose(rec.durations, [2.0])
@@ -206,7 +205,7 @@ def test_cycles_match_streaming(spec_plain, theta_zero):
     for lane in range(2):
         single = run_ensemble(spec_plain, theta_zero, horizon, dt, seed, 1,
                               rep_offset=lane, want_stats=False, store_path=True)
-        p = DiffusionPath(dt=dt, values=single.paths[0], horizon=horizon, seed=seed)
+        p = DiffusionPath(dt=dt, values=single.paths[0])
         rec = detect_life_cycles(spec_plain, theta_zero, p)
         np.testing.assert_allclose(res.r_times[lane], rec.r_times, atol=1e-12)
 
@@ -262,12 +261,26 @@ def test_per_cycle_occupation_identity(spec_plain, theta_zero):
 @pytest.mark.parametrize("basis", ["sinc", "fourier-1"])
 def test_ensemble_threads_equivalent(basis):
     # the basis partials cross the process boundary with the spec
+    # every field is asked for; the checkpoint at step 237 falls inside the
+    # second 200-step block, and threshold 0.5 gives crossings by t = 5
     spec = ModelSpec.from_names(1.0, basis)
     theta = ParamVector(0.0, (0.3, 0.2)[:spec.m])
-    serial = run_ensemble(spec, theta, 5.0, 1e-2, 31, 4, threads=1)
-    split = run_ensemble(spec, theta, 5.0, 1e-2, 31, 4, threads=2)
-    np.testing.assert_array_equal(serial.y, split.y)
-    np.testing.assert_array_equal(serial.j, split.j)
+    kwargs = dict(window=(-1.0, 1.5), checkpoint_times=(2.37,), want_cycles=True,
+                  threshold=0.5, store_path=True, block_steps=200)
+    serial = run_ensemble(spec, theta, 5.0, 1e-2, 31, 4, threads=1, **kwargs)
+    split = run_ensemble(spec, theta, 5.0, 1e-2, 31, 4, threads=2, **kwargs)
+    for key in ("y", "j", "y_win", "j_win", "paths", "final_x"):
+        got, want = getattr(split, key), getattr(serial, key)
+        assert got is not None and got.shape[0] == 4
+        np.testing.assert_array_equal(got, want)
+    assert serial.checkpoints.keys() == split.checkpoints.keys() == {2.37}
+    for got, want in zip(split.checkpoints[2.37], serial.checkpoints[2.37]):
+        assert got.shape[0] == 4
+        np.testing.assert_array_equal(got, want)
+    assert len(split.r_times) == len(serial.r_times) == 4
+    assert sum(r.size for r in serial.r_times) > 0
+    for got, want in zip(split.r_times, serial.r_times):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_checkpoint_j_symmetric(spec_sinc):
