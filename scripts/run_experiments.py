@@ -5,40 +5,29 @@ Usage:
     python scripts/run_experiments.py                 # everything
     python scripts/run_experiments.py identity rate   # a subset
 
-Equivalent to `nullrec experiment --config scripts/configs/<name>.json` per
-name; reports land under out/.  The rate and tail runs take a few minutes
-each; set NULLREC_THREADS to parallelize replications.
+Runs `nullrec experiment --config scripts/configs/<name>.json` per name;
+reports land under out/.  Exits with the largest exit status of the runs.
+The rate and tail runs take a few minutes each; set NULLREC_THREADS to
+parallelize replications.
 """
 
-import json
 import sys
 import time
 from pathlib import Path
 
-from nullrec.cli import emit_report
-from nullrec.harness import ExperimentConfig, run_experiment
+from nullrec.cli import main as nullrec_main
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 ORDER = ("identity", "rate", "tail", "rlt", "risk")
 
 
 def main(names):
-    failures = []
+    worst = 0
     for name in names:
-        data = json.loads((CONFIG_DIR / f"{name}.json").read_text())
-        config = ExperimentConfig.from_dict(data)
         print(f"[{time.strftime('%H:%M:%S')}] running {name} ...", flush=True)
-        report = run_experiment(config)
-        files = emit_report(report, config.output or f"out/{name}")
-        status = "pass" if report.overall_pass else "FAIL"
-        print(f"  {status} in {report.wall_clock:.1f}s -> {files[0]}")
-        if not report.overall_pass:
-            failures.append(name)
-            for row in report.rows:
-                if row.passed is False:
-                    print(f"    failed row: {row.stat_name} = {row.value:.6g} "
-                          f"(tolerance {row.tolerance})")
-    return 1 if failures else 0
+        code = nullrec_main(["experiment", "--config", str(CONFIG_DIR / f"{name}.json")])
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import math
 import numbers
 import time
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,7 @@ __all__ = [
     "ks_statistic",
     "hill_estimator",
     "run_experiment",
-    "default_tolerances",
+    "GATES",
 ]
 
 # Stream contexts; lane k of context c uses Philox key (seed, c << 32 | k).
@@ -97,30 +97,29 @@ def hill_estimator(sample, k: int) -> float:
     return k / denom
 
 
-def default_tolerances(kind: str) -> dict:
-    return {
-        "identity": {"max_residual": 1e-10},
-        "rate": {"ks_cross": 0.08, "ks_limit": 0.10, "ks_calibration": 0.05,
-                 "min_invertible_frac": 0.90},
-        "tail": {"hill_abs": 0.07, "tail_constant_rel": 0.25},
-        "rlt": {"bias_rel": 0.15, "naive_vs_mle_factor": 3.0},
-        "risk": {"bound_sigma": 3.0},
-    }[kind]
+# The acceptance gates, fixed for every config; each name belongs to one kind
+# (identity: max_residual; rate: ks_*, min_invertible_frac; tail: hill_abs,
+# tail_constant_rel; rlt: bias_rel, naive_vs_mle_factor; risk: bound_sigma).
+GATES = {
+    "max_residual": 1e-10,
+    "ks_cross": 0.08, "ks_limit": 0.10, "ks_calibration": 0.05, "min_invertible_frac": 0.90,
+    "hill_abs": 0.07, "tail_constant_rel": 0.25,
+    "bias_rel": 0.15, "naive_vs_mle_factor": 3.0,
+    "bound_sigma": 3.0,
+}
 
 
 # what a config value of each declared field type may be (bool never counts)
 _FIELD_TYPES = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"),
-                str: (str, "a string"), tuple: ((list, tuple), "a list of numbers"),
-                dict: (dict, "an object of numbers")}
+                str: (str, "a string"), tuple: ((list, tuple), "a list of numbers")}
 
 
 def _check_field(name: str, value, hint) -> None:
     options = typing.get_args(hint)  # Optional[X] -> (X, NoneType)
     types, what = _FIELD_TYPES[options[0] if options else hint]
     ok = isinstance(value, types) and not isinstance(value, bool)
-    if ok and types in ((list, tuple), dict):
-        items = value.values() if isinstance(value, dict) else value
-        ok = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items)
+    if ok and types == (list, tuple):
+        ok = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value)
     if not ok and not (options and value is None):
         raise ValueError(f"config key {name!r} must be {what}"
                          f"{' or null' if options else ''}, got {value!r}")
@@ -145,11 +144,9 @@ class ExperimentConfig:
     limit_draws: int = 2000
     target_cycles: int = 5000
     hill_frac: Optional[float] = None
-    loss: str = "sqclip"
     bound_draws: int = 200_000
     max_waves: int = 8
     block_steps: Optional[int] = None
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         hints = typing.get_type_hints(type(self))
@@ -157,10 +154,6 @@ class ExperimentConfig:
             _check_field(f.name, getattr(self, f.name), hints[f.name])
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        unknown = set(self.tolerances) - set(default_tolerances(self.kind))
-        if unknown:
-            raise ValueError(f"unknown tolerance keys for kind {self.kind!r}: "
-                             f"{sorted(unknown)}")
         for key, low in (("replications", 1), ("block_steps", 1), ("limit_draws", 1),
                          ("target_cycles", 1), ("max_waves", 1), ("bound_draws", 2)):
             value = getattr(self, key)
@@ -180,6 +173,9 @@ class ExperimentConfig:
             w = tuple(float(v) for v in self.window)
             if len(w) != 2 or not w[0] < w[1]:
                 raise ValueError("window must be a nonempty interval (a, b)")
+            if self.kind in ("rate", "risk") and not w[0] < self.x0 < w[1]:
+                raise ValueError(f"config key 'window' must contain x0 = {self.x0} "
+                                 f"in its interior, got {w}")
             object.__setattr__(self, "window", w)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
@@ -189,11 +185,6 @@ class ExperimentConfig:
 
     def theta(self) -> ParamVector:
         return ParamVector(self.theta1, self.theta2)
-
-    def tol(self, key: str) -> float:
-        merged = dict(default_tolerances(self.kind))
-        merged.update(self.tolerances)
-        return merged[key]
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -257,10 +248,13 @@ class ExperimentReport:
         }
 
 
-def _ensemble(config, spec, theta, horizon, rep_offset, **kwargs):
-    """run_ensemble of the config's replications on its dt, seed and block size."""
+def _ensemble(config, spec, theta, horizon, ctx, first=0, **kwargs):
+    """run_ensemble of the config's replications on its dt, seed and block size.
+
+    Lanes are replications first, first + 1, ... of stream context ctx.
+    """
     return run_ensemble(spec, theta, float(horizon), config.dt, config.master_seed,
-                        config.replications, rep_offset=rep_offset,
+                        config.replications, rep_offset=(ctx << 32) + first,
                         block_steps=config.block_steps, **kwargs)
 
 
@@ -320,9 +314,9 @@ def _identity_rows(config: ExperimentConfig, spec, theta) -> list:
     """
     theta_vec = theta.as_array()
     rows = []
-    tol = config.tol("max_residual")
+    tol = GATES["max_residual"]
     for horizon in config.horizons:
-        res = _ensemble(config, spec, theta, horizon, _CTX_IDENTITY << 32)
+        res = _ensemble(config, spec, theta, horizon, _CTX_IDENTITY)
         _, delta_n = norming(spec, theta, max(1, int(horizon)))
         est = _ensemble_mle(res, horizon, spec.x0)
         ok = est.j_invertible
@@ -347,7 +341,7 @@ def _rescaled_errors(config, spec, theta, horizon, hz_index):
 
     Either error array is None when no replication gave an invertible J.
     """
-    res = _ensemble(config, spec, theta, horizon, (_CTX_RATE + hz_index) << 32,
+    res = _ensemble(config, spec, theta, horizon, _CTX_RATE + hz_index,
                     window=config.window)
     alpha_n, _ = norming(spec, theta, int(horizon))
     root = math.sqrt(alpha_n)
@@ -377,8 +371,8 @@ def _rate_rows(config: ExperimentConfig, spec, theta) -> list:
         errs, errs_win, frac = _rescaled_errors(config, spec, theta, horizon, hz_index)
         per_horizon[horizon] = (errs, errs_win)
         rows.append(ReportRow(horizon, None, "invertible_fraction", frac,
-                              config.tol("min_invertible_frac"),
-                              frac >= config.tol("min_invertible_frac")))
+                              GATES["min_invertible_frac"],
+                              frac >= GATES["min_invertible_frac"]))
 
     lam = mu_moment_matrix(spec, theta)
     law = LimitLawSpec(alpha=consts.alpha, cov=lam)
@@ -388,7 +382,6 @@ def _rate_rows(config: ExperimentConfig, spec, theta) -> list:
                                config.limit_draws)
     cal_b = sample_limit_error(law, rng_stream(config.master_seed, _CTX_LIMIT_CAL_B),
                                config.limit_draws)
-    lim_win = None
     if config.window is not None:
         lam_win = mu_moment_matrix(spec, theta, window=config.window)
         law_win = LimitLawSpec(alpha=consts.alpha, cov=lam_win)
@@ -407,28 +400,27 @@ def _rate_rows(config: ExperimentConfig, spec, theta) -> list:
             ks = ks_statistic(per_horizon[n_a][0][:, coord],
                               per_horizon[n_b][0][:, coord])
             rows.append(ReportRow(n_b, coord, "ks_cross_horizon", ks,
-                                  config.tol("ks_cross"),
-                                  ks <= config.tol("ks_cross")))
+                                  GATES["ks_cross"],
+                                  ks <= GATES["ks_cross"]))
         for horizon in config.horizons:
             if per_horizon[horizon][0] is None:
                 continue
             ks = ks_statistic(per_horizon[horizon][0][:, coord], lim[:, coord])
             gate = horizon == final
             rows.append(ReportRow(horizon, coord, "ks_vs_limit", ks,
-                                  config.tol("ks_limit") if gate else None,
-                                  ks <= config.tol("ks_limit") if gate else None))
+                                  GATES["ks_limit"] if gate else None,
+                                  ks <= GATES["ks_limit"] if gate else None))
         ks_cal = ks_statistic(cal_a[:, coord], cal_b[:, coord])
         rows.append(ReportRow(None, coord, "ks_calibration", ks_cal,
-                              config.tol("ks_calibration"),
-                              ks_cal <= config.tol("ks_calibration")))
-        if lim_win is not None:
+                              GATES["ks_calibration"],
+                              ks_cal <= GATES["ks_calibration"]))
+        if config.window is not None:
             errs_win = per_horizon[final][1]
             if errs_win is not None:
                 ks = ks_statistic(errs_win[:, coord], lim_win[:, coord])
                 rows.append(ReportRow(final, coord, "ks_vs_limit_windowed", ks,
-                                      config.tol("ks_limit"),
-                                      ks <= config.tol("ks_limit")))
-        if config.window is not None:
+                                      GATES["ks_limit"],
+                                      ks <= GATES["ks_limit"]))
             for horizon in config.horizons:
                 errs, errs_win = per_horizon[horizon]
                 if errs_win is None:
@@ -470,8 +462,7 @@ def _tail_rows(config: ExperimentConfig, spec, theta) -> list:
 
     starts, durs, open_starts = [], [], []
     for wave in range(config.max_waves):
-        res = _ensemble(config, spec, theta, horizon,
-                        (_CTX_TAIL << 32) + wave * config.replications,
+        res = _ensemble(config, spec, theta, horizon, _CTX_TAIL, wave * config.replications,
                         want_stats=False, want_cycles=True, threshold=threshold)
         for r in res.r_times:
             if r.size >= 1:
@@ -493,18 +484,22 @@ def _tail_rows(config: ExperimentConfig, spec, theta) -> list:
         return rows
 
     if config.hill_frac is not None:
-        k = max(1, int(config.hill_frac * n))
+        k = int(config.hill_frac * n)
     else:
         k = int(math.ceil(math.sqrt(n)))
-    k = min(k, n - 1)
-    try:
-        alpha_hat = hill_estimator(durs_all, k)
-        tol = config.tol("hill_abs")
-        rows.append(ReportRow(horizon, None, "hill_alpha", alpha_hat, tol,
-                              abs(alpha_hat - consts.alpha) <= tol))
-        rows.append(ReportRow(horizon, None, "hill_k", float(k), None, None))
-    except DegenerateSampleError:
-        rows.append(ReportRow(horizon, None, "hill_degenerate", 1.0, 0.0, False))
+    if k < 1:
+        # hill_frac * n < 1 leaves no order statistic to fit
+        rows.append(ReportRow(horizon, None, "hill_k_below_one", config.hill_frac * n,
+                              1.0, False))
+    else:
+        try:
+            alpha_hat = hill_estimator(durs_all, k)
+            tol = GATES["hill_abs"]
+            rows.append(ReportRow(horizon, None, "hill_alpha", alpha_hat, tol,
+                                  abs(alpha_hat - consts.alpha) <= tol))
+            rows.append(ReportRow(horizon, None, "hill_k", float(k), None, None))
+        except DegenerateSampleError:
+            rows.append(ReportRow(horizon, None, "hill_degenerate", 1.0, 0.0, False))
 
     # tail quantile from the completion-corrected survival curve
     uniq = np.unique(durs_all)
@@ -523,7 +518,7 @@ def _tail_rows(config: ExperimentConfig, spec, theta) -> list:
         c_theory = (1.0 / math.gamma(consts.alpha)
                     * (1.0 / (2.0 * spec.sigma**2)) ** consts.alpha
                     * 2.0 * (consts.psi_plus + consts.psi_minus))
-        rel = config.tol("tail_constant_rel")
+        rel = GATES["tail_constant_rel"]
         rows.append(ReportRow(horizon, None, "tail_quantile_t", t_q, None, None))
         rows.append(ReportRow(horizon, None, "tail_constant", c_hat,
                               c_theory * rel,
@@ -545,7 +540,7 @@ def _rlt_rows(config: ExperimentConfig, spec, theta) -> list:
     horizon = float(config.horizons[-1])
     checkpoints = tuple(horizon / 10**k for k in reversed(range(0, 4))
                         if horizon / 10**k >= 10 * config.dt)
-    res = _ensemble(config, spec, theta, horizon, _CTX_RLT << 32,
+    res = _ensemble(config, spec, theta, horizon, _CTX_RLT,
                     checkpoint_times=checkpoints)
     rows = []
     for t_ck in sorted(res.checkpoints):
@@ -555,7 +550,7 @@ def _rlt_rows(config: ExperimentConfig, spec, theta) -> list:
     terminal_b = np.array([_ratio_bias(j, theta.theta2) for j in res.j])
     predicted = _ratio_bias(mu_moment_matrix(spec, theta), theta.theta2)
     med_b = float(np.median(terminal_b))
-    rel = config.tol("bias_rel")
+    rel = GATES["bias_rel"]
     rows.append(ReportRow(horizon, None, "b_check_terminal_median", med_b,
                           rel, abs(med_b - predicted) <= rel * abs(predicted)))
     rows.append(ReportRow(horizon, None, "b_check_predicted", predicted, None, None))
@@ -564,7 +559,7 @@ def _rlt_rows(config: ExperimentConfig, spec, theta) -> list:
     naive = naive_estimator(SufficientStats(y=res.y, j=res.j, t=horizon))
     naive_dev = np.abs(naive - theta.theta1)
     mle_dev = np.abs(est.theta_hat[est.j_invertible, 0] - theta.theta1)
-    factor = config.tol("naive_vs_mle_factor")
+    factor = GATES["naive_vs_mle_factor"]
     med_naive = float(np.median(naive_dev))
     med_mle = float(np.median(mle_dev))
     ratio = med_naive / med_mle if med_mle > 0 else math.inf
@@ -595,7 +590,7 @@ def _risk_rows(config: ExperimentConfig, spec, theta) -> list:
     consts = asymptotic_constants(spec, theta)
     horizon = config.horizons[-1]
     _, delta_n = norming(spec, theta, int(horizon))
-    loss = make_loss(config.loss)
+    loss = make_loss("sqclip")
     rows = []
 
     sigma_mat = information_scale_matrix(spec, theta)
@@ -618,7 +613,7 @@ def _risk_rows(config: ExperimentConfig, spec, theta) -> list:
             rows.append(ReportRow(float(horizon), h_index, "h_point_dropped",
                                   1.0, None, None))
             continue
-        res = _ensemble(config, spec, shifted, horizon, (_CTX_RISK + h_index) << 32,
+        res = _ensemble(config, spec, shifted, horizon, _CTX_RISK + h_index,
                         window=config.window)
         est = _ensemble_mle(res, horizon, spec.x0)
         losses_mle = loss((est.theta_hat - shifted_vec) / delta_n)
@@ -640,7 +635,7 @@ def _risk_rows(config: ExperimentConfig, spec, theta) -> list:
     rows.append(ReportRow(float(horizon), None, "sup_risk_mle", sup_mle, None, None))
     se_comb = math.sqrt(bound_se**2 + se_at_sup**2)
     z = (sup_mle - bound) / se_comb if se_comb > 0 else math.inf
-    n_sigma = config.tol("bound_sigma")
+    n_sigma = GATES["bound_sigma"]
     rows.append(ReportRow(float(horizon), None, "bound_respected_zscore", z,
                           -n_sigma, z >= -n_sigma))
     rows.append(ReportRow(float(horizon), None, "excess_over_bound_rel",

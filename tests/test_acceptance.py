@@ -80,7 +80,7 @@ def risk_report():
     cfg = ExperimentConfig(kind="risk", sigma=1.0, basis="sinc",
                            theta1=0.0, theta2=(0.3,), horizons=(2000,),
                            dt=1e-2, replications=500, master_seed=1,
-                           window=(-2.0, 2.0), loss="sqclip")
+                           window=(-2.0, 2.0))
     return run_experiment(cfg)
 
 

@@ -192,7 +192,7 @@ def test_estimate_stats_rejects_stacked(tmp_path, capsys):
     ({"kind": "identity", "horizons": None}, "horizons"),
     ({"kind": "identity", "tolerances": {"max_residual": "tiny"}}, "tolerances"),
     ({"kind": "identity", "horizons": [2], "replications": 2,
-      "tolerances": {"max_residul": 0.0}}, "max_residul"),
+      "tolerances": {"max_residual": 0.0}}, "tolerances"),
     ({"kind": "identity", "horizons": [1], "replications": 3, "block_steps": 0},
      "block_steps"),
     ([1, 2], "JSON object"),
@@ -226,11 +226,12 @@ def test_experiment_cli_and_exit_codes(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "rep.json").exists() and (tmp_path / "rep.csv").exists()
 
-    # impossible tolerance forces the failure exit path
-    cfg["tolerances"] = {"max_residual": 0.0}
-    cfg_file.write_text(json.dumps(cfg))
-    code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg_file))
-    assert code == 1
+    # one Euler step from 0 without drift gives J = 0 on every replication:
+    # the residual rows are NaN and fail
+    failing = dict(cfg, basis="none", theta1=0.0, theta2=[], horizons=[0.01])
+    cfg_file.write_text(json.dumps(failing))
+    code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg_file))
+    assert code == 1 and "FAIL: max_residual" in out
 
     # invalid replications from the config is a usage error
     cfg["replications"] = 0

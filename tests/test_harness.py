@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nullrec import ExperimentConfig, hill_estimator, ks_statistic, run_experiment
 from nullrec.errors import DegenerateSampleError
-from nullrec.harness import default_tolerances
+from nullrec.harness import GATES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -79,18 +79,32 @@ def test_config_roundtrip():
     assert again == cfg
 
 
-@pytest.mark.parametrize("key", ["bogus", "hill_k", "tail_prob", "checkpoint_times",
-                                 "h_radius", "loss_clip"])
+# the risk loss is fixed, so `loss` is unknown too
+_UNKNOWN_KEYS = {"bogus": 1, "hill_k": 1, "tail_prob": 1, "checkpoint_times": 1,
+                 "h_radius": 1, "loss_clip": 1, "loss": "sqclip"}
+
+
+@pytest.mark.parametrize("key", _UNKNOWN_KEYS)
 def test_config_rejects_unknown_keys(key):
-    with pytest.raises(ValueError, match=key):
-        ExperimentConfig.from_dict({"kind": "rate", key: 1})
+    with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+        ExperimentConfig.from_dict({"kind": "rate", key: _UNKNOWN_KEYS[key]})
 
 
 @pytest.mark.parametrize("kind, key", [("identity", "max_residul"), ("rate", "bias_rel"),
                                        ("rlt", "hill_abs")])
 def test_config_rejects_unknown_tolerance_keys(kind, key):
-    with pytest.raises(ValueError, match=key):
+    # the gates are fixed (GATES): a config that still carries tolerances, even a
+    # misspelt one, is refused whole rather than silently ignored
+    with pytest.raises(ValueError, match="unknown config keys: \\['tolerances'\\]"):
         ExperimentConfig.from_dict({"kind": kind, "tolerances": {key: 0.0}})
+
+
+@pytest.mark.parametrize("kind, window", [("rate", [1.0, 2.0]), ("risk", [-2.0, 0.0])])
+def test_config_rejects_window_without_x0(kind, window):
+    # the restricted estimator needs x0 inside the window: fail before simulating
+    with pytest.raises(ValueError, match="'window'"):
+        ExperimentConfig.from_dict({"kind": kind, "window": window})
+    ExperimentConfig.from_dict({"kind": kind, "window": window, "x0": sum(window) / 2})
 
 
 def test_canned_configs_load():
@@ -110,9 +124,15 @@ def test_config_rejects_bad_values():
         ExperimentConfig(kind="warp")
 
 
-def test_default_tolerances_cover_kinds():
-    for kind in ("identity", "rate", "tail", "rlt", "risk"):
-        assert default_tolerances(kind)
+def test_gates_are_the_acceptance_values():
+    assert GATES == {
+        "max_residual": 1e-10,
+        "ks_cross": 0.08, "ks_limit": 0.10, "ks_calibration": 0.05,
+        "min_invertible_frac": 0.90,
+        "hill_abs": 0.07, "tail_constant_rel": 0.25,
+        "bias_rel": 0.15, "naive_vs_mle_factor": 3.0,
+        "bound_sigma": 3.0,
+    }
 
 
 # ------------------------------------------------------------- experiments
@@ -153,9 +173,7 @@ def test_identity_without_invertible_replication_fails():
 def test_rate_experiment_small_smoke():
     cfg = ExperimentConfig(kind="rate", theta1=0.0, theta2=(0.3,),
                            horizons=(30, 60), dt=1e-2, replications=40,
-                           master_seed=7, window=(-2.0, 2.0), limit_draws=400,
-                           tolerances={"ks_cross": 1.0, "ks_limit": 1.0,
-                                       "ks_calibration": 1.0})
+                           master_seed=7, window=(-2.0, 2.0), limit_draws=400)
     report = run_experiment(cfg)
     names = {r.stat_name for r in report.rows}
     assert {"ks_cross_horizon", "ks_vs_limit", "ks_calibration",
@@ -194,19 +212,32 @@ def test_tail_experiment_flags_insufficient_cycles():
 def test_tail_experiment_small_run():
     cfg = ExperimentConfig(kind="tail", theta1=0.0, theta2=(0.0,),
                            horizons=(400,), dt=1e-2, replications=8,
-                           master_seed=11, target_cycles=40, max_waves=4,
-                           tolerances={"hill_abs": 1.0, "tail_constant_rel": 10.0})
+                           master_seed=11, target_cycles=40, max_waves=4)
     report = run_experiment(cfg)
     assert report.find("completed_cycles")[0].value >= 40
     assert report.find("hill_alpha")
     assert report.find("crossing_threshold")[0].value == pytest.approx(1.0, abs=1e-9)
 
 
+def test_tail_hill_fraction_below_one_cycle_fails():
+    # 59 cycles at hill_frac 1e-9 give k = 0: one failing row, no Hill estimate
+    cfg = ExperimentConfig(kind="tail", basis="none", theta2=(), horizons=(200,),
+                           replications=8, master_seed=11, target_cycles=40,
+                           max_waves=4, hill_frac=1e-9)
+    report = run_experiment(cfg)
+    n = report.find("completed_cycles")[0].value
+    assert n >= 40
+    rows = report.find("hill_k_below_one")
+    assert len(rows) == 1
+    assert rows[0].value == pytest.approx(1e-9 * n) and rows[0].passed is False
+    assert not report.find("hill_alpha") and not report.find("hill_k")
+    assert not report.overall_pass
+
+
 def test_rlt_experiment_smoke():
     cfg = ExperimentConfig(kind="rlt", theta1=0.0, theta2=(0.5,),
                            horizons=(200,), dt=1e-2, replications=6,
-                           master_seed=13,
-                           tolerances={"bias_rel": 10.0, "naive_vs_mle_factor": 0.0})
+                           master_seed=13)
     report = run_experiment(cfg)
     assert report.find("b_check_terminal_median")
     assert report.find("b_check_lane0")
@@ -223,8 +254,7 @@ def test_rlt_requires_secondary():
 def test_risk_experiment_smoke():
     cfg = ExperimentConfig(kind="risk", theta1=0.0, theta2=(0.3,),
                            horizons=(50,), dt=1e-2, replications=12,
-                           master_seed=17, window=(-2.0, 2.0), bound_draws=4000,
-                           tolerances={"bound_sigma": 100.0})
+                           master_seed=17, window=(-2.0, 2.0), bound_draws=4000)
     report = run_experiment(cfg)
     bound = report.find("risk_bound")[0].value
     assert 0.0 <= bound <= 4.0
@@ -235,16 +265,6 @@ def test_risk_experiment_smoke():
     # two largest principal-axis shifts leave the parameter domain
     assert len(report.find("risk_mle_at_h")) == 7
     assert report.find("dropped_h_points")[0].value == 2
-
-
-def test_risk_bounded_loss_rows_in_range():
-    cfg = ExperimentConfig(kind="risk", theta1=0.0, theta2=(0.3,),
-                           horizons=(50,), dt=1e-2, replications=6,
-                           master_seed=19, loss="exp", bound_draws=2000,
-                           tolerances={"bound_sigma": 100.0})
-    report = run_experiment(cfg)
-    for r in report.find("risk_mle_at_h"):
-        assert 0.0 <= r.value <= 1.0
 
 
 def test_run_experiment_dispatch():
