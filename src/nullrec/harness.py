@@ -35,7 +35,7 @@ from .model import (
     scale_inverse,
     theta_in_domain,
 )
-from .simulate import SufficientStats, run_ensemble, score_at
+from .simulate import SufficientStats, n_steps_for, run_ensemble, score_at
 
 __all__ = [
     "ExperimentConfig",
@@ -179,6 +179,9 @@ class ExperimentConfig:
             object.__setattr__(self, "window", w)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if hz[0] < self.dt:
+            raise ValueError(f"config key 'horizons' must be >= dt = {self.dt}, "
+                             f"got {hz[0]}")
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec.from_names(self.sigma, self.basis, self.x0)
@@ -311,18 +314,23 @@ def _identity_rows(config: ExperimentConfig, spec, theta) -> list:
 
     Each identity is checked once per horizon over every replication whose J
     passes the gate.  With none passing, the residual rows are NaN and fail.
+    One ensemble runs to the last horizon; the earlier ones are its
+    checkpoints, which have the bits of runs to them.
     """
     theta_vec = theta.as_array()
     rows = []
     tol = GATES["max_residual"]
-    for horizon in config.horizons:
-        res = _ensemble(config, spec, theta, horizon, _CTX_IDENTITY)
+    *earlier, last = config.horizons
+    res = _ensemble(config, spec, theta, last, _CTX_IDENTITY, checkpoint_times=earlier)
+    line = {h: res.checkpoints[n_steps_for(h, config.dt) * config.dt] for h in earlier}
+    line[last] = res.y, res.j
+    for horizon, (y, j) in line.items():
         _, delta_n = norming(spec, theta, max(1, int(horizon)))
-        est = _ensemble_mle(res, horizon, spec.x0)
+        est = mle(SufficientStats(y=y, j=j, t=float(horizon), x0=spec.x0))
         ok = est.j_invertible
         n_sing = int(np.count_nonzero(~ok))
         if n_sing < len(ok):
-            stats = SufficientStats(y=res.y[ok], j=res.j[ok], t=float(horizon), x0=spec.x0)
+            stats = SufficientStats(y=y[ok], j=j[ok], t=float(horizon), x0=spec.x0)
             max_res = _identity_residuals(stats, est.theta_hat[ok], theta_vec, delta_n)
         else:
             max_res = (math.nan,) * len(_IDENTITIES)

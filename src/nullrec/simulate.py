@@ -89,7 +89,8 @@ class EnsembleResult:
     y_win: Optional[np.ndarray] = None
     j_win: Optional[np.ndarray] = None
     r_times: Optional[list] = None            # list of (n_i,) arrays, seconds
-    checkpoints: dict = field(default_factory=dict)  # step-time -> (y, j) snapshot
+    # k*dt -> (y, j) of the line at step k, bit-identical to a run to k*dt
+    checkpoints: dict = field(default_factory=dict)
     paths: Optional[np.ndarray] = None        # (R, n_steps+1) when stored
     final_x: Optional[np.ndarray] = None
 
@@ -226,12 +227,12 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
         paths = np.empty((lanes, n_steps + 1))
         paths[:, 0] = x
     checkpoints = {}
-    ck_iter = list(checkpoint_steps) if want_stats else []
-    # block buffers, reused by every block: pb holds x after each step,
-    # kept[n] the Euler step's psi values of drift term n before it
+    ck_steps = checkpoint_steps if want_stats else ()
+    # block buffers, reused by every block: z holds the scaled noise, which
+    # the state after each step overwrites, and kept[n] the Euler step's psi
+    # values of drift term n before it
     width = min(block_steps, n_steps)
     z = np.empty((lanes, width))
-    pb = np.empty((lanes, width))
     kept = np.empty((len(terms), lanes, width)) if want_stats else None
     # step buffers: psi_block[n] holds psi of drift term n at x_k, and the
     # state pair (x_k, x_{k+1}) swaps roles each step
@@ -245,60 +246,68 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
     step_terms = [(i, np.array(c)) for i, c in terms]
     dt_arr = np.array(dt)
 
-    done = 0
-    boundaries = sorted(set(ck_iter) | {n_steps})
-    for bound in boundaries:
-        while done < bound:
-            b = min(block_steps, bound - done)
-            zb, pbb = z[:, :b], pb[:, :b]
-            for rng, row in zip(rngs, z):
-                rng.standard_normal(out=row[:b])
-            zb *= sig_sqdt
-            if not terms:
-                np.cumsum(zb, axis=1, out=pbb)
-                pbb += x[:, None]
-            else:
-                # psi and x_{k+1} are written in place into contiguous step
-                # buffers, then copied once into the block buffers: psi
-                # evaluated on, or read from, strided (L, b) columns measured
-                # slower at 2000 lanes.  b(x_k) dt + x_k has the bits of
-                # x_k + b(x_k) dt.
-                cur, nxt = state
-                cur[...] = x
-                kept_at = (kept[:, :, :b].transpose(2, 0, 1) if want_stats
-                           else itertools.repeat(None))
-                for zk, xk, kk in zip(zb.T, pbb.T, kept_at):
-                    for f, v in zip(term_psis, psi_rows):
-                        f(cur, out=v)
-                    if want_stats:
-                        kk[...] = psi_block
-                    _drift_sum(step_terms, psi_rows, out=nxt)
-                    nxt *= dt_arr
-                    nxt += cur
-                    nxt += zk
-                    xk[...] = nxt
-                    cur, nxt = nxt, cur
-            if want_stats:
-                known = {i: kb[:, :b] for (i, _), kb in zip(terms, kept)}
-                _add_stats(psis, x, pbb, known, targets)
-            if want_cycles:
-                up = pbb > threshold
-                dn = pbb < 0.0
-                for i in range(lanes):
-                    hits, mode[i] = _scan_crossings(np.flatnonzero(up[i]),
-                                                    np.flatnonzero(dn[i]), mode[i])
-                    r_times[i].extend((done + h + 1) * dt for h in hits)
-            if store_path:
-                paths[:, done + 1:done + b + 1] = pbb
-            x = np.array(pbb[:, b - 1])
-            if not np.isfinite(x).all():
-                raise SimulationDivergedError(
-                    "simulated state became non-finite; this should not happen "
-                    "for parameters in the admissible domain"
-                )
-            done += b
-        if done in ck_iter:
-            checkpoints[done * dt] = _scaled_stats(y, jj.copy(), spec.sigma, dt)
+    def kept_to(cut):
+        """The kept psi values of the current block's first cut steps."""
+        return {i: kb[:, :cut] for (i, _), kb in zip(terms, kept)}
+
+    # the block grid is fixed by block_steps alone, so checkpoints cannot move
+    # the bits of any sum: a checkpoint inside a block adds the block's prefix
+    # into copies of the line sums, which is what a run to it adds last
+    for done in range(0, n_steps, block_steps):
+        b = min(block_steps, n_steps - done)
+        zb = z[:, :b]
+        for rng, row in zip(rngs, z):
+            rng.standard_normal(out=row[:b])
+        zb *= sig_sqdt
+        if not terms:
+            np.cumsum(zb, axis=1, out=zb)
+            zb += x[:, None]
+        else:
+            # psi and x_{k+1} are written in place into contiguous step
+            # buffers, then copied once over the step's noise column: psi
+            # evaluated on, or read from, strided (L, b) columns measured
+            # slower at 2000 lanes.  b(x_k) dt + x_k has the bits of
+            # x_k + b(x_k) dt.
+            cur, nxt = state
+            cur[...] = x
+            kept_at = (kept[:, :, :b].transpose(2, 0, 1) if want_stats
+                       else itertools.repeat(None))
+            for zk, kk in zip(zb.T, kept_at):
+                for f, v in zip(term_psis, psi_rows):
+                    f(cur, out=v)
+                if want_stats:
+                    kk[...] = psi_block
+                _drift_sum(step_terms, psi_rows, out=nxt)
+                nxt *= dt_arr
+                nxt += cur
+                nxt += zk
+                zk[...] = nxt
+                cur, nxt = nxt, cur
+        if want_stats:
+            for step in ck_steps:
+                if done < step < done + b:
+                    cut = step - done
+                    y_ck, jj_ck = y.copy(), jj.copy()
+                    _add_stats(psis, x, zb[:, :cut], kept_to(cut), [(None, y_ck, jj_ck)])
+                    checkpoints[step * dt] = _scaled_stats(y_ck, jj_ck, spec.sigma, dt)
+            _add_stats(psis, x, zb, kept_to(b), targets)
+            if done + b in ck_steps:
+                checkpoints[(done + b) * dt] = _scaled_stats(y, jj.copy(), spec.sigma, dt)
+        if want_cycles:
+            up = zb > threshold
+            dn = zb < 0.0
+            for i in range(lanes):
+                hits, mode[i] = _scan_crossings(np.flatnonzero(up[i]),
+                                                np.flatnonzero(dn[i]), mode[i])
+                r_times[i].extend((done + h + 1) * dt for h in hits)
+        if store_path:
+            paths[:, done + 1:done + b + 1] = zb
+        x = np.array(zb[:, b - 1])
+        if not np.isfinite(x).all():
+            raise SimulationDivergedError(
+                "simulated state became non-finite; this should not happen "
+                "for parameters in the admissible domain"
+            )
 
     res = EnsembleResult(final_x=x)
     if want_stats:
@@ -347,7 +356,13 @@ def run_ensemble(
     block_steps: Optional[int] = None,
     threads: Optional[int] = None,
 ) -> EnsembleResult:
-    """Run replications in lock-step and collect the requested functionals."""
+    """Run replications in lock-step and collect the requested functionals.
+
+    Each time t of checkpoint_times (dt <= t <= horizon) adds the line (y, j)
+    at step n_steps_for(t, dt) to checkpoints, keyed by that step times dt.
+    A snapshot has the bits of a run to that time with the same block_steps,
+    and asking for it leaves every other result bit-identical.
+    """
     require_valid_theta(spec, theta)
     for name, value in (("horizon", horizon), ("dt", dt)):
         if not math.isfinite(value):
@@ -361,9 +376,11 @@ def run_ensemble(
     n_steps = n_steps_for(horizon, dt)
     if want_cycles and threshold is None:
         threshold = scale_inverse(spec, theta, 1.0)
-    checkpoint_steps = tuple(
-        sorted({n_steps_for(t, dt) for t in checkpoint_times if 0 < t <= horizon})
-    )
+    for t in checkpoint_times:
+        if not dt <= t <= horizon:
+            raise ValueError(f"checkpoint time {t} must lie in [dt, horizon] = "
+                             f"[{dt}, {horizon}]")
+    checkpoint_steps = tuple(sorted({n_steps_for(t, dt) for t in checkpoint_times}))
     for name, value in (("block_steps", block_steps), ("threads", threads)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")

@@ -195,6 +195,7 @@ def test_estimate_stats_rejects_stacked(tmp_path, capsys):
       "tolerances": {"max_residual": 0.0}}, "tolerances"),
     ({"kind": "identity", "horizons": [1], "replications": 3, "block_steps": 0},
      "block_steps"),
+    ({"kind": "identity", "horizons": [0.005, 1], "dt": 0.01}, "horizons"),
     ([1, 2], "JSON object"),
     ({"kind": "identity", "master_seed": -1}, "master_seed"),
     ({"kind": "identity", "master_seed": 1 << 64}, "master_seed"),
@@ -205,8 +206,9 @@ def test_estimate_stats_rejects_stacked(tmp_path, capsys):
     ({"kind": "rate", "limit_draws": 0}, "limit_draws"),
     ({"kind": "risk", "bound_draws": 1}, "bound_draws"),
 ], ids=["replications", "horizons", "tolerances", "tolerance_key", "block_steps",
-        "not_an_object", "master_seed_negative", "master_seed_too_big", "hill_frac_negative",
-        "hill_frac_one", "max_waves", "target_cycles", "limit_draws", "bound_draws"])
+        "horizon_below_dt", "not_an_object", "master_seed_negative", "master_seed_too_big",
+        "hill_frac_negative", "hill_frac_one", "max_waves", "target_cycles", "limit_draws",
+        "bound_draws"])
 def test_experiment_malformed_config(tmp_path, capsys, data, name):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(data))

@@ -156,6 +156,30 @@ def test_identity_deterministic():
         dataclasses.asdict(r) for r in b.rows]
 
 
+def test_identity_runs_one_ensemble_to_its_last_horizon(monkeypatch):
+    # 120-step blocks put horizon 2 inside a block and 3.6 at a block end;
+    # the rows equal, byte for byte, those of one run per horizon
+    from nullrec import harness
+
+    calls = []
+    real = harness.run_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_ensemble", counted)
+    base = dict(kind="identity", theta1=0.1, theta2=(-0.3,), dt=1e-2, replications=20,
+                master_seed=9, block_steps=120)
+    rows = run_experiment(ExperimentConfig(horizons=(2, 3.6, 5), **base)).rows
+    assert calls == [5.0]
+    single = [r for h in (2, 3.6, 5)
+              for r in run_experiment(ExperimentConfig(horizons=(h,), **base)).rows]
+    assert len(calls) == 4
+    assert [repr(dataclasses.astuple(r)) for r in rows] == [
+        repr(dataclasses.astuple(r)) for r in single]
+
+
 def test_identity_without_invertible_replication_fails():
     # f1(0) = 0 and one Euler step from 0: J = 0 on every replication, so no
     # identity is checked and the residual rows must not pass

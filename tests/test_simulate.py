@@ -291,6 +291,48 @@ def test_checkpoint_j_symmetric(spec_sinc):
     np.testing.assert_array_equal(res.checkpoints[5.0][1], res.j)
 
 
+# 173-step blocks end at steps 173, 346, ..., 865 and leave a partial last
+# block of 135 steps; the checkpoints fall inside the first block, at a block
+# end, in the middle of a block and inside the partial last block
+_CK_STEPS = (50, 346, 432, 950)
+_CK_CASES = [("sinc", 0.0), ("sinc", 0.1), ("fourier-1", 0.0), ("none", 0.0)]
+
+
+def _ck_run(basis, theta1, horizon, threads, checkpoint_times=()):
+    spec = ModelSpec.from_names(1.0, basis)
+    theta = ParamVector(theta1, (0.3, -0.2)[:spec.m])
+    return run_ensemble(spec, theta, horizon, 1e-2, 5, 7, window=(-1.0, 1.5),
+                        checkpoint_times=checkpoint_times, block_steps=173,
+                        threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("basis, theta1", _CK_CASES)
+def test_checkpoint_equals_run_to_t(basis, theta1, threads):
+    # basis "none" is the driftless path (cumulative sum, no step loop)
+    times = tuple(n * 1e-2 for n in _CK_STEPS)
+    res = _ck_run(basis, theta1, 10.0, threads, times)
+    assert list(res.checkpoints) == list(times)
+    for t in times:
+        to_t = _ck_run(basis, theta1, t, threads)
+        y, j = res.checkpoints[t]
+        assert np.array_equal(y, to_t.y) and np.array_equal(j, to_t.j)
+
+
+@pytest.mark.parametrize("basis, theta1", _CK_CASES)
+def test_checkpoints_do_not_change_terminal_stats(basis, theta1):
+    plain = _ck_run(basis, theta1, 10.0, 1)
+    checked = _ck_run(basis, theta1, 10.0, 1, tuple(n * 1e-2 for n in _CK_STEPS))
+    for key in ("y", "j", "y_win", "j_win", "final_x"):
+        assert np.array_equal(getattr(checked, key), getattr(plain, key))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.005, 10.5, np.nan])
+def test_checkpoint_outside_dt_to_horizon_rejected(spec_sinc, theta_sinc, t):
+    with pytest.raises(ValueError, match="checkpoint time"):
+        run_ensemble(spec_sinc, theta_sinc, 10.0, 1e-2, 1, 2, checkpoint_times=(t,))
+
+
 def test_n_threads_unset_means_one(monkeypatch):
     monkeypatch.delenv("NULLREC_THREADS", raising=False)
     assert n_threads() == 1
@@ -364,10 +406,11 @@ def test_lane_chunks_do_not_change_results(monkeypatch, basis, theta1, threads):
 
 def test_stats_peak_allocation_is_the_block_buffers(spec_sinc, theta_sinc):
     # 50 lanes in one 40000-step block with stats and a window: beyond the
-    # block buffers (z, pb and one kept psi array for the one drift term),
-    # the (y, J) accumulation may only hold lane-chunk temporaries
+    # block buffers (z, which the path overwrites, and one kept psi array for
+    # the one drift term), the (y, J) accumulation may only hold lane-chunk
+    # temporaries
     lanes, steps = 50, 40_000
-    buffers = 3 * lanes * steps * 8
+    buffers = 2 * lanes * steps * 8
     tracemalloc.start()
     try:
         run_ensemble(spec_sinc, theta_sinc, steps * 1e-2, 1e-2, 3, lanes,
@@ -378,11 +421,12 @@ def test_stats_peak_allocation_is_the_block_buffers(spec_sinc, theta_sinc):
     assert peak <= buffers + (8 << 20)
 
 
-def test_stats_off_peak_allocation_is_z_and_pb(spec_sinc):
+def test_stats_off_peak_allocation_is_z(spec_sinc):
     # the same block without stats, two drift terms: each step's psi values
-    # go to (L,) scratch vectors, so only z and pb are block-sized
+    # go to (L,) scratch vectors and its state over its noise, so only z is
+    # block-sized
     lanes, steps = 50, 40_000
-    buffers = 2 * lanes * steps * 8
+    buffers = lanes * steps * 8
     tracemalloc.start()
     try:
         run_ensemble(spec_sinc, ParamVector(0.1, (0.3,)), steps * 1e-2, 1e-2, 3, lanes,
