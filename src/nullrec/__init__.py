@@ -56,10 +56,8 @@ from .model import (
 )
 from .simulate import (
     DiffusionPath,
-    LifeCycleRecord,
     SufficientStats,
     accumulate_stats,
-    detect_life_cycles,
     run_ensemble,
     score_at,
     simulate_path,

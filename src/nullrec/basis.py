@@ -162,9 +162,8 @@ def _fourier_basis(ell: int) -> DriftBasis:
 
 
 def make_basis(name: str) -> DriftBasis:
-    """Build a basis from its name ("none", "sinc", "fourier-<L>")."""
-    name = name.strip().lower()
-    if name in ("none", "empty", ""):
+    """Build a basis from its exact name: "none", "sinc" or "fourier-<L>"."""
+    if name == "none":
         return DriftBasis(name="none")
     if name == "sinc":
         return DriftBasis(
@@ -175,11 +174,11 @@ def make_basis(name: str) -> DriftBasis:
             f_limit_neg=(-np.pi / 2,),
             osc=(("sin", 1.0, reciprocal),),
         )
-    match = re.fullmatch(r"fourier-(\d+)", name)
+    match = re.fullmatch(r"fourier-([1-9][0-9]*)", name)
     if match:
         ell = int(match.group(1))
         # e^k and E1(k) stay normal floats up to k = 700
-        if not 1 <= ell <= 700:
+        if ell > 700:
             raise ValueError("fourier basis order must lie in 1..700")
         return _fourier_basis(ell)
     raise ValueError(f"unknown basis name {name!r}")

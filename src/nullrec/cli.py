@@ -2,8 +2,9 @@
 
 Subcommands: constants, simulate, estimate, limits, experiment, check.
 Exit status: 0 success; 1 an experiment ran but a tolerance row failed;
-2 usage or runtime error.  All randomness flows from --seed (or the config's
-master_seed); NULLREC_THREADS caps replication-level parallelism.
+2 usage or runtime error.  Randomness flows from --seed in simulate, limits
+and check, and from the config's master_seed in experiment, whose values all
+come from its config file; NULLREC_THREADS caps replication-level parallelism.
 """
 
 from __future__ import annotations
@@ -82,9 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run an experiment from a JSON config")
     p.add_argument("--config", type=str, required=True)
-    p.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p.add_argument("--replications", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--out", type=str, default=None, help="override report path")
 
     p = sub.add_parser("check", help="fast self-test: identities plus sampler calibration")
@@ -275,10 +273,8 @@ def emit_report(report: ExperimentReport, path_base: str) -> list:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     data = _load_object(args.config, "--config")
-    for key, value in (("master_seed", args.seed), ("replications", args.replications),
-                       ("dt", args.dt), ("output", args.out)):
-        if value is not None:
-            data[key] = value
+    if args.out is not None:
+        data["output"] = args.out
     exp_config = ExperimentConfig.from_dict(data)
     report = run_experiment(exp_config)
     out_base = exp_config.output or f"report_{exp_config.kind}"

@@ -189,9 +189,6 @@ class ExperimentConfig:
     def theta(self) -> ParamVector:
         return ParamVector(self.theta1, self.theta2)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):

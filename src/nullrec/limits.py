@@ -63,12 +63,11 @@ class LimitLawSpec:
         return self.cov.shape[0]
 
 
-def sample_stable(alpha: float, rng: np.random.Generator, size=None):
-    """Draws of the one-sided stable law with E exp(-z S) = exp(-z^alpha)."""
+def sample_stable(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size,) draws of the one-sided stable law with E exp(-z S) = exp(-z^alpha)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    scalar = size is None
-    n = 1 if scalar else int(size)
+    n = int(size)
     u = rng.uniform(0.0, np.pi, n)
     w = rng.standard_exponential(n)
     u[u == 0.0] = np.pi / 2  # measure-zero guard against 0/0
@@ -76,11 +75,11 @@ def sample_stable(alpha: float, rng: np.random.Generator, size=None):
          * np.sin(alpha * u) ** (alpha / (1.0 - alpha))
          / np.sin(u) ** (1.0 / (1.0 - alpha)))
     s = (a / w) ** ((1.0 - alpha) / alpha)
-    return float(s[0]) if scalar else s
+    return s
 
 
-def sample_mittag_leffler(alpha: float, rng: np.random.Generator, size=None):
-    """Mittag-Leffler draws via the identity V = (1/S)^alpha."""
+def sample_mittag_leffler(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size,) Mittag-Leffler draws via the identity V = (1/S)^alpha."""
     s = sample_stable(alpha, rng, size=size)
     return (1.0 / s) ** alpha
 

@@ -33,12 +33,10 @@ from .model import (ModelSpec, ParamVector, _drift_sum, _drift_terms, _psi_funcs
 __all__ = [
     "DiffusionPath",
     "SufficientStats",
-    "LifeCycleRecord",
     "EnsembleResult",
     "simulate_path",
     "accumulate_stats",
     "score_at",
-    "detect_life_cycles",
     "run_ensemble",
     "n_threads",
 ]
@@ -71,13 +69,6 @@ class SufficientStats:
         self.j = np.asarray(self.j, dtype=float)
         if self.y.ndim not in (1, 2) or self.j.shape != self.y.shape + self.y.shape[-1:]:
             raise ValueError("j must be square and match y")
-
-
-@dataclass
-class LifeCycleRecord:
-    r_times: np.ndarray
-    durations: np.ndarray
-    threshold: float
 
 
 @dataclass
@@ -127,23 +118,16 @@ def _default_block(lanes: int) -> int:
     return max(256, min(65536, 2_000_000 // max(lanes, 1)))
 
 
-def _mirror_upper(mat: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle of each (p, p) matrix in mat into its lower one."""
-    p = mat.shape[-1]
-    for i in range(p):
-        for l in range(i):
-            mat[:, i, l] = mat[:, l, i]
-    return mat
-
-
 def _add_stats(psis, x, pb, kept, targets):
     """Add one block's left-point sums to raw (y, jj) accumulators.
 
     pb (L, b) holds the path after each step and x (L,) the state before the
     block.  kept maps a psi slot to its values at the left points; the other
     slots are evaluated here.  Each (window, y, jj) of targets gets the sums
-    psi_i dx in y (L, p) and psi_i psi_l in the upper triangle of jj, over
-    every step (window None) or only over steps that start inside the window.
+    psi_i dx in y (L, p) and psi_i psi_l in jj (L, p, p), over every step
+    (window None) or only over steps that start inside the window.  Each
+    off-diagonal sum is added to both of its entries, so jj stays symmetric
+    bit for bit.
 
     Lanes go through in chunks of about _STATS_CHUNK elements per array, so
     that the temporaries stay in cache.  Each lane still sums along its own
@@ -167,12 +151,15 @@ def _add_stats(psis, x, pb, kept, targets):
             for i in range(p):
                 y[r, i] += (ev[i] * dx).sum(axis=1)
                 for l in range(i, p):
-                    jj[r, i, l] += (ev[i] * ev[l]).sum(axis=1)
+                    s = (ev[i] * ev[l]).sum(axis=1)
+                    jj[r, i, l] += s
+                    if l != i:
+                        jj[r, l, i] += s
 
 
 def _scaled_stats(y, jj, sigma: float, dt: float):
-    """(y, J) from the raw sums: J mirrored from its upper triangle (in place)."""
-    return y * (1.0 / sigma**2), _mirror_upper(jj) * (dt / sigma**2)
+    """(y, J) from the raw sums, as new arrays."""
+    return y * (1.0 / sigma**2), jj * (dt / sigma**2)
 
 
 def _scan_crossings(up, dn, mode):
@@ -292,7 +279,7 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
                     checkpoints[step * dt] = _scaled_stats(y_ck, jj_ck, spec.sigma, dt)
             _add_stats(psis, x, zb, kept_to(b), targets)
             if done + b in ck_steps:
-                checkpoints[(done + b) * dt] = _scaled_stats(y, jj.copy(), spec.sigma, dt)
+                checkpoints[(done + b) * dt] = _scaled_stats(y, jj, spec.sigma, dt)
         if want_cycles:
             up = zb > threshold
             dn = zb < 0.0
@@ -440,20 +427,3 @@ def _param_of(stats: SufficientStats, theta) -> np.ndarray:
 def score_at(stats: SufficientStats, theta) -> np.ndarray:
     """Discretized score s(theta) = y - j theta: (p,), or (R, p) for stacked stats."""
     return stats.y - stats.j @ _param_of(stats, theta)
-
-
-def detect_life_cycles(spec: ModelSpec, theta: ParamVector,
-                       path: DiffusionPath) -> LifeCycleRecord:
-    """Alternating crossing scan: above the scale threshold, then below zero.
-
-    Crossings are detected at grid points only; index k maps to time k*dt.
-    """
-    require_valid_theta(spec, theta)
-    threshold = scale_inverse(spec, theta, 1.0)
-    vals = np.asarray(path.values, dtype=float)
-    inner = vals[1:]
-    hits, _ = _scan_crossings(np.flatnonzero(inner > threshold),
-                              np.flatnonzero(inner < 0.0), 0)
-    r_times = (np.array(hits, dtype=float) + 1.0) * path.dt
-    durations = np.diff(r_times)
-    return LifeCycleRecord(r_times=r_times, durations=durations, threshold=threshold)

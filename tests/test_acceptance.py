@@ -1,13 +1,16 @@
 """End-to-end acceptance suite.
 
 Each test prints one `ACCEPTANCE <n>: ...` line so the suite doubles as a
-human-readable scorecard (run with -s).  Heavy experiments run once per
-session through module-scoped fixtures; seeds are fixed so every number
-below is reproducible.
+human-readable scorecard (run with -s).  The heavy experiments are the canned
+configs of scripts/configs/, run once per session through module-scoped
+fixtures; seeds are fixed so every number below is reproducible, and each
+report's CSV must equal tests/golden/canned_<kind>.csv byte for byte.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from nullrec import (
     sample_mittag_leffler,
     sample_stable,
 )
+from nullrec.cli import emit_report
+from nullrec.harness import KINDS
 from nullrec.limits import rng_stream
 
 pytestmark = pytest.mark.acceptance
@@ -40,48 +45,40 @@ def _one(report, stat, **kw):
 
 # ---------------------------------------------------------------- fixtures
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _canned(kind):
+    """The canned config scripts/configs/<kind>.json, without its output path."""
+    data = json.loads((CONFIG_DIR / f"{kind}.json").read_text(encoding="utf-8"))
+    del data["output"]
+    return ExperimentConfig.from_dict(data)
+
+
 @pytest.fixture(scope="module")
 def identity_report():
-    cfg = ExperimentConfig(kind="identity", sigma=1.0, basis="sinc",
-                           theta1=0.1, theta2=(-0.3,), horizons=(50,),
-                           dt=1e-2, replications=100, master_seed=1)
-    return run_experiment(cfg)
+    return run_experiment(_canned("identity"))
 
 
 @pytest.fixture(scope="module")
 def rate_report():
-    cfg = ExperimentConfig(kind="rate", sigma=1.0, basis="sinc",
-                           theta1=0.0, theta2=(0.3,), horizons=(1000, 4000),
-                           dt=1e-2, replications=1000, master_seed=2,
-                           window=(-2.0, 2.0), limit_draws=2000)
-    return run_experiment(cfg)
+    return run_experiment(_canned("rate"))
 
 
 @pytest.fixture(scope="module")
 def tail_report():
-    cfg = ExperimentConfig(kind="tail", sigma=1.0, basis="sinc",
-                           theta1=0.0, theta2=(0.0,), horizons=(200_000,),
-                           dt=1e-3, replications=48, master_seed=1,
-                           target_cycles=5000, hill_frac=0.45,
-                           block_steps=65536)
-    return run_experiment(cfg)
+    return run_experiment(_canned("tail"))
 
 
 @pytest.fixture(scope="module")
 def rlt_report():
-    cfg = ExperimentConfig(kind="rlt", sigma=1.0, basis="sinc",
-                           theta1=0.0, theta2=(0.5,), horizons=(10_000,),
-                           dt=1e-2, replications=50, master_seed=1)
-    return run_experiment(cfg)
+    return run_experiment(_canned("rlt"))
 
 
 @pytest.fixture(scope="module")
 def risk_report():
-    cfg = ExperimentConfig(kind="risk", sigma=1.0, basis="sinc",
-                           theta1=0.0, theta2=(0.3,), horizons=(2000,),
-                           dt=1e-2, replications=500, master_seed=1,
-                           window=(-2.0, 2.0))
-    return run_experiment(cfg)
+    return run_experiment(_canned("risk"))
 
 
 # ---------------------------------------------------------------- criteria
@@ -210,3 +207,11 @@ def test_criterion_9_risk_bound_ordering(risk_report):
     _announce(9, ok, f"bound {bound:.4f}, sup-risk MLE {sup_mle:.4f} "
                      f"(z = {z:+.1f} >= -3), windowed {sup_win:.4f} >= MLE; "
                      f"h-points dropped: {dropped:.0f}")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_canned_report_matches_golden(kind, request, tmp_path):
+    """Each canned report's CSV is byte-identical to tests/golden/canned_<kind>.csv."""
+    report = request.getfixturevalue(f"{kind}_report")
+    _, csv_path = emit_report(report, str(tmp_path / kind))
+    assert Path(csv_path).read_bytes() == (GOLDEN / f"canned_{kind}.csv").read_bytes()

@@ -108,12 +108,11 @@ def test_fourier_cos_limits_even():
 
 
 def test_unknown_basis_rejected():
-    with pytest.raises(ValueError):
-        make_basis("chebyshev")
-    with pytest.raises(ValueError):
-        make_basis("fourier-0")
-    with pytest.raises(ValueError):
-        make_basis("fourier-701")
+    # names are exact: no aliases, case folding or stripping
+    for name in ("chebyshev", "fourier-0", "fourier-701", "fourier-01", "Sinc", "", "empty",
+                 " sinc"):
+        with pytest.raises(ValueError):
+            make_basis(name)
 
 
 def test_none_basis_empty():

@@ -242,16 +242,16 @@ def test_experiment_cli_and_exit_codes(tmp_path, capsys):
     assert code == 2 and "replications" in err
 
 
-def test_experiment_flag_overrides(tmp_path, capsys):
-    cfg = {"kind": "identity", "sigma": 1.0, "basis": "sinc", "theta1": 0.1,
-           "theta2": [-0.3], "horizons": [20], "dt": 0.01, "replications": 0,
-           "master_seed": 2, "output": str(tmp_path / "rep2")}
+def test_experiment_rejects_override_flags(tmp_path, capsys):
+    # the config file is the one source of an experiment's values
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps(cfg))
-    # the override repairs the invalid value: flags win over the file
-    code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg_file),
-                         "--replications", "4")
-    assert code == 0
+    cfg_file.write_text(json.dumps({"kind": "identity", "horizons": [1], "replications": 2,
+                                    "output": str(tmp_path / "rep")}))
+    for flag, value in (("--seed", "3"), ("--replications", "4"), ("--dt", "0.02")):
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_file),
+                                 flag, value)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+    assert not (tmp_path / "rep.csv").exists()
 
 
 def test_emit_report_deterministic(tmp_path):

@@ -75,7 +75,7 @@ def test_hill_degenerate_and_range():
 def test_config_roundtrip():
     cfg = ExperimentConfig(kind="rate", theta1=0.1, theta2=(0.2,), window=(-2, 2),
                            horizons=(100, 200), replications=10, master_seed=9)
-    again = ExperimentConfig.from_dict(cfg.to_dict())
+    again = ExperimentConfig.from_dict(dataclasses.asdict(cfg))
     assert again == cfg
 
 

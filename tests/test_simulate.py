@@ -10,10 +10,10 @@ from nullrec import (
     ParamVector,
     SufficientStats,
     accumulate_stats,
-    detect_life_cycles,
     eval_drift,
     ks_statistic,
     run_ensemble,
+    scale_inverse,
     score_at,
     simulate_path,
 )
@@ -175,39 +175,51 @@ def test_stats_off_path_equals_stats_on(spec_sinc):
 
 # ---------------------------------------------------------------- cycles
 
-def test_threshold_identity_at_zero(spec_plain, theta_zero):
-    p = DiffusionPath(dt=1.0, values=np.array([0.0, 0.5, 0.0]))
-    rec = detect_life_cycles(spec_plain, theta_zero, p)
-    assert rec.threshold == pytest.approx(1.0, abs=1e-9)
+def _grid_crossings(vals, threshold, dt):
+    """The kernel's crossing scan on a hand-made path; grid index k -> k*dt."""
+    inner = vals[1:]
+    hits, _ = simulate._scan_crossings(np.flatnonzero(inner > threshold),
+                                       np.flatnonzero(inner < 0.0), 0)
+    return (np.array(hits, dtype=float) + 1.0) * dt
 
 
-def test_no_cycles_below_threshold(spec_plain, theta_zero):
+def test_no_cycles_below_threshold():
     vals = np.array([0.0, 0.5, 0.9, 0.2, -0.5, 0.9])
-    p = DiffusionPath(dt=1.0, values=vals)
-    rec = detect_life_cycles(spec_plain, theta_zero, p)
-    assert rec.r_times.size == 0
-    assert rec.durations.size == 0
+    assert _grid_crossings(vals, 1.0, 1.0).size == 0
 
 
-def test_sawtooth_single_duration(spec_plain, theta_zero):
+def test_sawtooth_single_duration():
     # up over 1, down below 0, up over 1 again, down below 0: two R's, one cycle
     vals = np.array([0.0, 1.2, 0.4, -0.1, 0.6, 1.5, 0.2, -0.3, 0.1])
-    p = DiffusionPath(dt=0.5, values=vals)
-    rec = detect_life_cycles(spec_plain, theta_zero, p)
-    np.testing.assert_allclose(rec.r_times, [1.5, 3.5])
-    np.testing.assert_allclose(rec.durations, [2.0])
+    r_times = _grid_crossings(vals, 1.0, 0.5)
+    np.testing.assert_allclose(r_times, [1.5, 3.5])
+    np.testing.assert_allclose(np.diff(r_times), [2.0])
+
+
+def _crossing_times(path, threshold, dt):
+    """Alternating scan, one grid point at a time: above threshold, then below zero."""
+    times = []
+    above = False
+    for k in range(1, len(path)):
+        if not above:
+            above = path[k] > threshold
+        elif path[k] < 0.0:
+            above = False
+            times.append(k * dt)
+    return np.array(times)
 
 
 def test_cycles_match_streaming(spec_plain, theta_zero):
     horizon, dt, seed = 500.0, 1e-2, 23
     res = run_ensemble(spec_plain, theta_zero, horizon, dt, seed, 2,
                        want_stats=False, want_cycles=True, block_steps=977)
+    threshold = scale_inverse(spec_plain, theta_zero, 1.0)
+    assert sum(r.size for r in res.r_times) > 0
     for lane in range(2):
         single = run_ensemble(spec_plain, theta_zero, horizon, dt, seed, 1,
                               rep_offset=lane, want_stats=False, store_path=True)
-        p = DiffusionPath(dt=dt, values=single.paths[0])
-        rec = detect_life_cycles(spec_plain, theta_zero, p)
-        np.testing.assert_allclose(res.r_times[lane], rec.r_times, atol=1e-12)
+        want = _crossing_times(single.paths[0], threshold, dt)
+        assert np.array_equal(res.r_times[lane], want)
 
 
 def test_information_rarely_singular(spec_sinc, theta_sinc):
@@ -285,10 +297,15 @@ def test_ensemble_threads_equivalent(basis):
 
 def test_checkpoint_j_symmetric(spec_sinc):
     th = ParamVector(0.1, (-0.3,))
-    res = run_ensemble(spec_sinc, th, 5.0, 0.01, 1, 3, checkpoint_times=(2.5, 5.0))
+    res = run_ensemble(spec_sinc, th, 5.0, 0.01, 1, 3, window=(-1.0, 1.0),
+                       checkpoint_times=(2.5, 5.0))
     for _, j in res.checkpoints.values():
         np.testing.assert_array_equal(j, np.transpose(j, (0, 2, 1)))
     np.testing.assert_array_equal(res.checkpoints[5.0][1], res.j)
+    stored = accumulate_stats(spec_sinc, simulate_path(spec_sinc, th, 5.0, 0.01, 1),
+                              window=(-1.0, 1.0))
+    for j in (res.j, res.j_win, stored.j):
+        assert np.array_equal(j, j.swapaxes(-1, -2))
 
 
 # 173-step blocks end at steps 173, 346, ..., 865 and leave a partial last
