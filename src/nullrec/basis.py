@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import exp1, expi, sici
 
 __all__ = ["DriftBasis", "make_basis", "principal_f1", "sinc"]
 
@@ -56,6 +55,8 @@ def sinc(x, out=None):
 
 def si(x):
     """Antiderivatives of the sinc basis: the sine integral Si(x), shape (1, ...)."""
+    from scipy.special import sici  # local: `import nullrec` stays numpy-only
+
     return sici(np.asarray(x, dtype=float))[0][np.newaxis]
 
 
@@ -81,6 +82,8 @@ def _f1_trig_antideriv(x, k):
     integrals (DLMF 6.2) whose arguments k -+ ikx keep real part k > 0, off
     the branch cut.
     """
+    from scipy.special import exp1, expi  # local: `import nullrec` stays numpy-only
+
     ikx = 1j * k * np.asarray(x, dtype=float)
     return 0.5 * (math.exp(k) * (exp1(k) - exp1(k - ikx))
                   + math.exp(-k) * (expi(k + ikx) - expi(k)))
@@ -137,6 +140,8 @@ class DriftBasis:
 
 
 def _fourier_basis(ell: int) -> DriftBasis:
+    from scipy.special import exp1, expi  # local: only fourier-<L> limits need it
+
     funcs, limits_pos, limits_neg, osc = [], [], [], []
     for k in range(1, ell + 1):
         # slot 2k-1: f1 sin(kx), even function, odd antiderivative

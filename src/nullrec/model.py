@@ -16,9 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import gamma as gamma_fn
 
 from .basis import DriftBasis, make_basis, principal_f1
 from .errors import DegenerateWindowError, ParameterDomainError, QuadratureError
@@ -221,11 +218,18 @@ def _scale_density(spec: ModelSpec, theta: ParamVector, x):
 
 
 def scale_function(spec: ModelSpec, theta: ParamVector, x: float) -> float:
-    """S(x) = int_0^x s(y) dy; a strictly increasing bijection onto the line."""
+    """S(x) = int_0^x s(y) dy; a strictly increasing bijection onto the line.
+
+    Without drift s = 1, so S(x) = x exactly and no quadrature runs.
+    """
     require_valid_theta(spec, theta)
     x = float(x)
     if x == 0.0:
         return 0.0
+    if not _drift_terms(spec, theta):
+        return x
+    from scipy.integrate import quad  # local: scipy loads only when S needs quadrature
+
     # one QUADPACK call across many decades can be off by far more than its abserr
     edges = [0.0] + [math.copysign(10.0**k, x) for k in range(math.ceil(math.log10(abs(x))))]
     with warnings.catch_warnings():
@@ -242,11 +246,18 @@ def scale_function(spec: ModelSpec, theta: ParamVector, x: float) -> float:
 
 
 def scale_inverse(spec: ModelSpec, theta: ParamVector, u: float) -> float:
-    """Unique root of S(.) = u, found by bracket expansion plus brentq."""
+    """Unique root of S(.) = u, found by bracket expansion plus brentq.
+
+    Without drift S is the identity, so the root is u itself.
+    """
     require_valid_theta(spec, theta)
     u = float(u)
     if u == 0.0:
         return 0.0
+    if not _drift_terms(spec, theta):
+        return u
+    from scipy.optimize import brentq  # local: scipy loads only when S needs quadrature
+
     lo, hi = (0.0, 1.0) if u > 0 else (-1.0, 0.0)
     for _ in range(200):
         if u > 0 and scale_function(spec, theta, hi) >= u:
@@ -276,7 +287,7 @@ def asymptotic_constants(spec: ModelSpec, theta: ParamVector) -> AsymptoticConst
     psi_plus = float(np.exp(np.dot(lam2, spec.basis.f_limit_pos))) if spec.m else 1.0
     psi_minus = float(np.exp(np.dot(lam2, spec.basis.f_limit_neg))) if spec.m else 1.0
     d_weight = ((2.0 * spec.sigma**2) ** (1.0 + alpha)
-                * gamma_fn(alpha) / (2.0 * gamma_fn(1.0 - alpha)))
+                * math.gamma(alpha) / (2.0 * math.gamma(1.0 - alpha)))
     return AsymptoticConstants(
         lambda1=lam1,
         lambda2=tuple(lam2),
@@ -437,6 +448,8 @@ def _ray_quad(g, kind: str, w: float, lam1: float):
     g decays like y^(lam1 - 2); for w = 0, y = R/t turns that decay into the
     algebraic weight t^(-lam1) on [0, 1].
     """
+    from scipy.integrate import quad  # local: only whole-line moment tails need it
+
     def h(t):
         t = max(t, 1e-100)  # the weight rule evaluates the endpoint t = 0
         return g(_R / t) * _R * t ** (lam1 - 2.0)

@@ -1,11 +1,10 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from nullrec.cli import emit_report, main, parse_config
-from nullrec.harness import ExperimentConfig, ExperimentReport, ReportRow
+from nullrec.harness import ExperimentReport, ReportRow
 
 
 def run_cli(capsys, *argv):

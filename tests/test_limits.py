@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc, gamma
+from scipy.special import erfc
 
 from nullrec import (
     LimitLawSpec,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import hyp2f1
+from scipy.special import gamma, hyp2f1
 
 from nullrec import (
     ModelSpec,
@@ -189,6 +189,22 @@ def test_scale_roundtrip_sinc_grid(spec_sinc):
         assert scale_inverse(spec_sinc, th, u) == pytest.approx(x, abs=1e-8)
 
 
+def test_scale_identity_without_drift_is_exact(spec_sinc):
+    # theta = 0 makes s = 1, so S and its inverse return their argument bit for bit
+    th = ParamVector(0.0, (0.0,))
+    for x in (0.3, 1.0, 7.25, 1e12, 1e300, -0.3, -1.0, -123.5, -1e12, -1e300):
+        assert scale_function(spec_sinc, th, x) == x
+        assert scale_inverse(spec_sinc, th, x) == x
+
+
+def test_scale_roundtrip_with_drift_uses_quadrature(spec_sinc):
+    th = ParamVector(0.0, (0.3,))
+    for x in (-50.0, -2.0, -0.4, 0.7, 3.0, 50.0):
+        u = scale_function(spec_sinc, th, x)
+        assert u != x
+        assert scale_inverse(spec_sinc, th, u) == pytest.approx(x, abs=1e-9)
+
+
 # ----------------------------------------------------------------- density
 
 def test_density_flat_at_zero(spec_plain, theta_zero):
@@ -220,6 +236,24 @@ def test_constants_at_zero(spec_plain, theta_zero):
     assert c.alpha == pytest.approx(0.5)
     assert c.psi_plus == 1.0 and c.psi_minus == 1.0
     assert c.d_weight == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+def test_d_weight_matches_scipy_gamma():
+    # D = (2 sigma^2)^(1+alpha) Gamma(alpha) / (2 Gamma(1-alpha)), once written with
+    # scipy.special.gamma.  Either gamma is within 2 ulp of the true value, so the
+    # ratio of two may differ by up to ~5 ulp (1.12e-15 seen at alpha = 0.74);
+    # at alpha = 1/2 both Gamma factors are the same number and D is unchanged.
+    for sigma in (1.0, 1.3):
+        spec = ModelSpec.from_names(sigma, "none")
+        for alpha in np.linspace(0.01, 0.99, 99):
+            c = asymptotic_constants(spec, ParamVector((0.5 - alpha) * sigma**2))
+            a = c.alpha
+            ref = (2.0 * sigma**2) ** (1.0 + a) * gamma(a) / (2.0 * gamma(1.0 - a))
+            assert type(c.d_weight) is float
+            assert c.d_weight == pytest.approx(ref, rel=2e-15, abs=0.0)
+        c = asymptotic_constants(spec, ParamVector(0.0))
+        assert c.alpha == 0.5
+        assert c.d_weight == (2.0 * sigma**2) ** 1.5 * gamma(0.5) / (2.0 * gamma(0.5))
 
 
 def test_constants_alpha_direct(spec_plain):

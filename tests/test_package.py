@@ -1,7 +1,12 @@
 import ast
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +30,42 @@ def test_package_imports_resolve():
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert names
     assert not [n for n in names if not hasattr(nullrec, n)]
+
+
+_NUMPY_ONLY_RUN = """
+import contextlib, io, json, sys
+import nullrec
+from nullrec.cli import main
+from nullrec.harness import ExperimentConfig, run_experiment
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_loaded()}
+run_experiment(ExperimentConfig(kind="identity", theta1=0.1, theta2=(-0.3,),
+                                horizons=(2,), replications=4))
+loaded["identity"] = scipy_loaded()
+run_experiment(ExperimentConfig(kind="tail", theta2=(0.0,), horizons=(20,), dt=1e-2,
+                                replications=4, target_cycles=2, max_waves=1))
+loaded["tail"] = scipy_loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["constants", "--sigma", "1", "--basis", "sinc", "--theta1", "0.1",
+                 "--theta2", "-0.3", "--n", "100"])
+assert code == 0
+loaded["constants"] = scipy_loaded()
+nullrec.mu_moment_matrix(nullrec.ModelSpec.from_names(1.0, "sinc"),
+                         nullrec.ParamVector(0.0, (0.3,)), window=(-2.0, 2.0))
+loaded["moments"] = scipy_loaded()
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_only_paths_never_load_scipy():
+    # scipy costs a fresh process about 0.5 s of import; only quadrature may pay it
+    env = dict(os.environ, PYTHONPATH=str(Path(nullrec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_RUN], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = json.loads(proc.stdout)
+    for step in ("import", "identity", "tail", "constants"):
+        assert loaded[step] == [], step
+    assert "scipy.special" in loaded["moments"]  # the control: a windowed moment matrix needs Si
