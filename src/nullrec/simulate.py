@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import itertools
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -27,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import SimulationDivergedError
-from .model import (ModelSpec, ParamVector, _drift_sum, _drift_terms, _psi_funcs,
-                    require_valid_theta, scale_inverse)
+from .model import (ModelSpec, ParamVector, _drift_terms, _psi_funcs, require_valid_theta,
+                    scale_inverse)
 
 __all__ = [
     "DiffusionPath",
@@ -110,7 +109,8 @@ def n_threads() -> int:
     return value
 
 
-# elements per array in a lane chunk of _add_stats (256 KiB of float64)
+# elements per array in a lane chunk of _add_stats, and in all the tile
+# buffers of the Euler step together (256 KiB of float64)
 _STATS_CHUNK = 1 << 15
 
 
@@ -163,23 +163,25 @@ def _scaled_stats(y, jj, sigma: float, dt: float):
 
 
 def _scan_crossings(up, dn, mode):
-    """Alternating crossing scan over sorted index arrays.
+    """Alternating crossing scan over one lane's boolean rows of a block.
 
-    Mode 0 awaits the next index in up (above the threshold), mode 1 the next
-    one in dn (below zero).  Returns the dn indices that close a cycle and the
-    mode at the end, from which the scan of the next block continues.
+    Mode 0 awaits the next step where up is set (above the threshold), mode 1
+    the next one where dn is set (below zero).  Returns the dn steps that
+    close a cycle and the mode at the end, from which the scan of the next
+    block continues.
     """
     hits = []
-    pos = -1
-    while True:
-        idx = up if mode == 0 else dn
-        k = np.searchsorted(idx, pos + 1)
-        if k == len(idx):
-            return hits, mode
-        pos = idx[k]
+    pos = 0
+    while pos < len(up):
+        row = up if mode == 0 else dn
+        pos += int(row[pos:].argmax())  # the first set step from pos, or pos
+        if not row[pos]:
+            break
         if mode == 1:
             hits.append(pos)
         mode = 1 - mode
+        pos += 1
+    return hits, mode
 
 
 def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
@@ -221,17 +223,33 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
     width = min(block_steps, n_steps)
     z = np.empty((lanes, width))
     kept = np.empty((len(terms), lanes, width)) if want_stats else None
-    # step buffers: psi_block[n] holds psi of drift term n at x_k, and the
-    # state pair (x_k, x_{k+1}) swaps roles each step
-    psi_block = np.empty((len(terms), lanes))
-    psi_rows = tuple(psi_block)
-    state = (np.empty(lanes), np.empty(lanes))
-    # the step calls each psi with out=; a call-counting decorator (such as
-    # the one bench/tracing.py installs) takes x alone, so step past it
-    term_psis = [inspect.unwrap(psis[i]) for i, _ in terms]
-    # 0-d array operands, as in basis: a Python float costs a scalar conversion
-    step_terms = [(i, np.array(c)) for i, c in terms]
-    dt_arr = np.array(dt)
+    if terms:
+        # the step calls each psi with out=; a call-counting decorator (such
+        # as the one bench/tracing.py installs) takes x alone, so step past it
+        term_psis = [inspect.unwrap(psis[i]) for i, _ in terms]
+        # 0-d array operands and out by position, as in basis: a Python
+        # float costs a scalar conversion, a keyword its parsing
+        c_first, *c_rest = [np.array(c) for _, c in terms]
+        dt_arr = np.array(dt)
+        # tile buffers, step-major, for tiles of up to `tile` steps of a
+        # block: zt[n] takes step n's noise and then the state after it, and
+        # kt[k, n] psi of drift term k at the state before it.  Each step
+        # writes only contiguous rows; a tile is copied from and back to the
+        # lane-major block buffers once.  Together they hold about
+        # _STATS_CHUNK elements.
+        arrays = 1 + len(terms) if want_stats else 1
+        tile = min(width, max(1, _STATS_CHUNK // (arrays * lanes)))
+        zt = np.empty((tile, lanes))
+        if want_stats:
+            kt = np.empty((len(terms), tile, lanes))
+            psi_at = [tuple(kt[:, n]) for n in range(tile)]
+        else:
+            psi_at = [tuple(np.empty((len(terms), lanes)))] * tile
+        # per step of a tile: its zt row, the psi calls, psi of the first
+        # term and the (coefficient, psi) pairs of the later ones
+        tile_steps = [(zk, tuple(zip(term_psis, psi)), psi[0], tuple(zip(c_rest, psi[1:])))
+                      for zk, psi in zip(zt, psi_at)]
+        acc, scratch, last = np.empty(lanes), np.empty(lanes), np.empty(lanes)
 
     def kept_to(cut):
         """The kept psi values of the current block's first cut steps."""
@@ -250,26 +268,28 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
             np.cumsum(zb, axis=1, out=zb)
             zb += x[:, None]
         else:
-            # psi and x_{k+1} are written in place into contiguous step
-            # buffers, then copied once over the step's noise column: psi
-            # evaluated on, or read from, strided (L, b) columns measured
-            # slower at 2000 lanes.  b(x_k) dt + x_k has the bits of
-            # x_k + b(x_k) dt.
-            cur, nxt = state
-            cur[...] = x
-            kept_at = (kept[:, :, :b].transpose(2, 0, 1) if want_stats
-                       else itertools.repeat(None))
-            for zk, kk in zip(zb.T, kept_at):
-                for f, v in zip(term_psis, psi_rows):
-                    f(cur, out=v)
+            # z_k + (b(x_k) dt + x_k) has the bits of x_k + b(x_k) dt + z_k
+            cur = x
+            for lo in range(0, b, tile):
+                t = min(tile, b - lo)
+                zt[:t] = zb[:, lo:lo + t].T
+                for zk, calls, psi_first, later in tile_steps[:t]:
+                    for f, v in calls:
+                        f(cur, out=v)
+                    # b(x_k) summed in model._drift_sum's order
+                    np.multiply(c_first, psi_first, acc)
+                    for c, v in later:
+                        acc += np.multiply(c, v, scratch)
+                    acc *= dt_arr
+                    acc += cur
+                    zk += acc
+                    cur = zk
+                zb[:, lo:lo + t] = zt[:t].T
                 if want_stats:
-                    kk[...] = psi_block
-                _drift_sum(step_terms, psi_rows, out=nxt)
-                nxt *= dt_arr
-                nxt += cur
-                nxt += zk
-                zk[...] = nxt
-                cur, nxt = nxt, cur
+                    kept[:, :, lo:lo + t] = kt[:, :t].transpose(0, 2, 1)
+                # the next tile's noise overwrites zt: keep the last state
+                last[...] = zt[t - 1]
+                cur = last
         if want_stats:
             for step in ck_steps:
                 if done < step < done + b:
@@ -284,8 +304,7 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
             up = zb > threshold
             dn = zb < 0.0
             for i in range(lanes):
-                hits, mode[i] = _scan_crossings(np.flatnonzero(up[i]),
-                                                np.flatnonzero(dn[i]), mode[i])
+                hits, mode[i] = _scan_crossings(up[i], dn[i], mode[i])
                 r_times[i].extend((done + h + 1) * dt for h in hits)
         if store_path:
             paths[:, done + 1:done + b + 1] = zb

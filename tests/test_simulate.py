@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from nullrec import (
     simulate_path,
 )
 from nullrec import simulate
-from nullrec.simulate import lane_rng, n_steps_for, n_threads
+from nullrec.simulate import EnsembleResult, lane_rng, n_steps_for, n_threads
 
 
 def test_zero_horizon_path(spec_sinc, theta_sinc):
@@ -146,21 +147,35 @@ def test_kernel_stats_equal_accumulate_stats(basis, theta1):
 
 
 @pytest.mark.parametrize("theta1, basis", [
-    (t1, b) for t1 in (-0.15, 0.0) for b in ("fourier-1", "sinc")
+    (t1, b) for t1 in (-0.15, 0.0) for b in ("fourier-1", "sinc", "none", "fourier-2")
 ] + [(0.1, "fourier-2")])
 def test_kernel_step_uses_eval_drift(basis, theta1):
-    sigma, x0, dt, seed = 1.3, 0.7, 1e-2, 23
-    spec = ModelSpec.from_names(sigma, basis, x0)
+    # 500 steps in 97-step blocks on 3 lanes: the stored paths are the
+    # recursion x + b(x) dt + sigma sqrt(dt) z over each lane's draws, bit for
+    # bit.  Without drift (basis none, theta1 = 0) the kernel takes a
+    # cumulative sum of each block's noise and adds the state before the
+    # block last, which rounds in another order.
+    sigma, x0, dt, seed, lanes, steps = 1.3, 0.7, 1e-2, 23, 3, 500
     theta = ParamVector(theta1, THETA2[basis])
-    res = run_ensemble(spec, theta, dt, dt, seed, 1, store_path=True, threads=1)
-    z0 = lane_rng(seed, 0).standard_normal()
-    want = x0 + eval_drift(spec, theta, x0) * dt + sigma * np.sqrt(dt) * z0
-    assert res.paths[0].tolist() == [x0, want]
+    spec = ModelSpec.from_names(sigma, basis, x0)
+    res = run_ensemble(spec, theta, steps * dt, dt, seed, lanes, store_path=True,
+                       block_steps=97, threads=1)
+    z = np.array([lane_rng(seed, lane).standard_normal(steps) for lane in range(lanes)])
+    want = np.empty((lanes, steps + 1))
+    want[:, 0] = x = np.full(lanes, x0)
+    for k in range(steps):
+        x = x + eval_drift(spec, theta, x) * dt + sigma * np.sqrt(dt) * z[:, k]
+        want[:, k + 1] = x
+    if basis == "none" and theta1 == 0.0:
+        np.testing.assert_allclose(res.paths, want, rtol=0, atol=1e-12)
+    else:
+        assert res.paths.tobytes() == want.tobytes()
 
 
 def test_stats_off_path_equals_stats_on(spec_sinc):
-    # the stats-on step also copies psi into the kept block columns; paths,
-    # crossings and final states agree bit for bit
+    # with stats the step writes psi into tile rows that go to the kept block
+    # buffers, without stats into reused vectors; paths, crossings and final
+    # states agree bit for bit
     th = ParamVector(0.1, (-0.3,))
     kwargs = dict(want_cycles=True, threshold=0.5, store_path=True, block_steps=977)
     on = run_ensemble(spec_sinc, th, 30.0, 1e-2, 43, 3, **kwargs)
@@ -178,8 +193,7 @@ def test_stats_off_path_equals_stats_on(spec_sinc):
 def _grid_crossings(vals, threshold, dt):
     """The kernel's crossing scan on a hand-made path; grid index k -> k*dt."""
     inner = vals[1:]
-    hits, _ = simulate._scan_crossings(np.flatnonzero(inner > threshold),
-                                       np.flatnonzero(inner < 0.0), 0)
+    hits, _ = simulate._scan_crossings(inner > threshold, inner < 0.0, 0)
     return (np.array(hits, dtype=float) + 1.0) * dt
 
 
@@ -382,6 +396,43 @@ def test_block_size_does_not_change_results(spec_sinc):
         np.testing.assert_array_equal(got, want)
 
 
+def _assert_same_bits(got, want):
+    """got and want alike, bit for bit, through lists, tuples and dicts."""
+    if isinstance(want, dict):  # checkpoints: t -> (y, j)
+        assert got.keys() == want.keys()
+        got, want = [got[t] for t in want], list(want.values())
+    if isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+    elif want is None:
+        assert got is None
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("basis, theta", [("sinc", ParamVector(0.1, (-0.3,))),
+                                          ("fourier-2", ParamVector(0.1, THETA2["fourier-2"]))])
+def test_tile_width_does_not_change_results(monkeypatch, basis, theta):
+    # the Euler step runs in tiles of _STATS_CHUNK // (arrays * lanes) steps,
+    # with one tile array for the state and one per nonzero drift term: 1-step
+    # and 7-step tiles (7 does not divide the 977-step blocks) against the
+    # default, one tile per block; the checkpoint at step 1234 falls inside a
+    # 7-step tile and a default one
+    spec = ModelSpec.from_names(1.0, basis)
+    lanes = 3
+    arrays = 1 + sum(c != 0.0 for c in (theta.theta1,) + theta.theta2)
+    kwargs = dict(window=(-1.0, 1.5), checkpoint_times=(12.34,), want_cycles=True,
+                  threshold=0.5, store_path=True, block_steps=977, threads=1)
+    default = run_ensemble(spec, theta, 30.0, 1e-2, 41, lanes, **kwargs)
+    assert sum(r.size for r in default.r_times) > 0
+    for steps in (1, 7):
+        monkeypatch.setattr(simulate, "_STATS_CHUNK", steps * arrays * lanes)
+        tiled = run_ensemble(spec, theta, 30.0, 1e-2, 41, lanes, **kwargs)
+        for f in fields(EnsembleResult):
+            _assert_same_bits(getattr(tiled, f.name), getattr(default, f.name))
+
+
 @pytest.mark.parametrize("name, horizon, dt", [("horizon", np.inf, 0.01),
                                                 ("horizon", np.nan, 0.01),
                                                 ("dt", 1.0, np.nan),
@@ -424,8 +475,8 @@ def test_lane_chunks_do_not_change_results(monkeypatch, basis, theta1, threads):
 def test_stats_peak_allocation_is_the_block_buffers(spec_sinc, theta_sinc):
     # 50 lanes in one 40000-step block with stats and a window: beyond the
     # block buffers (z, which the path overwrites, and one kept psi array for
-    # the one drift term), the (y, J) accumulation may only hold lane-chunk
-    # temporaries
+    # the one drift term), the step's tiles and the (y, J) accumulation's
+    # lane-chunk temporaries may only hold about _STATS_CHUNK elements each
     lanes, steps = 50, 40_000
     buffers = 2 * lanes * steps * 8
     tracemalloc.start()
