@@ -59,6 +59,21 @@ def sinc(x, out=None):
     return np.divide(np.sin(y), y, out)
 
 
+def _sinc_step(x, out, divide=np.divide, multiply=np.multiply, sin=np.sin, pi=_PI):
+    """sinc without its guard at 0, for the Euler step: the bits of sinc(x)
+    wherever y = pi * (x / pi) is not 0, and NaN (0/0) where it is, which is
+    at x in {0, -0, +-5e-324}.  out is required, and x a float64 array.  The
+    ufuncs are bound as defaults, so a call looks up no global.
+    """
+    y = multiply(pi, divide(x, pi, out), out)
+    return divide(sin(y), y, out)
+
+
+# the form of a psi that the Euler step's fast pass calls in its place; a psi
+# that is not here is its own step form
+_STEP_FORMS = {sinc: _sinc_step}
+
+
 def si(x):
     """Antiderivatives of the sinc basis: the sine integral Si(x), shape (1, ...)."""
     from scipy.special import sici  # local: `import nullrec` stays numpy-only
@@ -71,12 +86,12 @@ def reciprocal(x):
     return 1.0 / np.asarray(x, dtype=float)
 
 
-def _f1_sin(x, k, out=None):
+def _f1_sin(x, out=None, *, k):
     x = np.asarray(x, dtype=float)
     return np.multiply(x / (1.0 + x * x), np.sin(k * x), out=out)
 
 
-def _f1_cos(x, k, out=None):
+def _f1_cos(x, out=None, *, k):
     x = np.asarray(x, dtype=float)
     return np.multiply(x / (1.0 + x * x), np.cos(k * x), out=out)
 

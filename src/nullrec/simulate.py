@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .basis import _STEP_FORMS
 from .errors import SimulationDivergedError
 from .model import (ModelSpec, ParamVector, _drift_terms, _psi_funcs, require_valid_theta,
                     scale_inverse)
@@ -89,9 +90,41 @@ def n_steps_for(horizon: float, dt: float) -> int:
     return int(math.floor(horizon / dt + 1e-9))
 
 
+class _PhiloxKey:
+    """A fixed Philox key in the place of a seed sequence.
+
+    Philox(key=...) first builds SeedSequence() from OS entropy and then
+    throws it away; Philox(_PhiloxKey(key)) asks this for its key instead,
+    which gives the same state at half the cost.  Philox asks once, and
+    keeps this object for the stream's life, so the key is let go then.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        key, self.key = self.key, None  # two uint64 words
+        return key
+
+
+@functools.cache
+def _register_philox_key():
+    """Make _PhiloxKey an ISeedSequence, once.
+
+    On first use, not at import: importing numpy.random with nullrec would
+    add to every start.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_PhiloxKey)
+
+
 def lane_rng(seed: int, lane: int) -> np.random.Generator:
+    _register_philox_key()
     key = np.array([seed & _MASK64, lane & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def n_threads() -> int:
@@ -184,6 +217,29 @@ def _scan_crossings(up, dn, mode):
     return hits, mode
 
 
+def _euler_tile(cur, steps, c_first, dt_arr, acc, scratch,
+                multiply=np.multiply, add=np.add):
+    """Euler steps from the state cur; steps[n] is (zk, calls, psi_first, later).
+
+    zk holds step n's scaled noise and gets the state after the step.  calls
+    are the (psi, out) pairs that put psi of each drift term at the state
+    before the step into its out; psi_first is the first term's out, and
+    later the (coefficient, out) pairs of the others.
+    """
+    for zk, calls, psi_first, later in steps:
+        for f, v in calls:
+            f(cur, v)
+        # b(x_k) summed in model._drift_sum's order
+        multiply(c_first, psi_first, acc)
+        for c, v in later:
+            add(acc, multiply(c, v, scratch), acc)
+        # z_k + (b(x_k) dt + x_k) has the bits of x_k + b(x_k) dt + z_k
+        multiply(acc, dt_arr, acc)
+        add(acc, cur, acc)
+        add(zk, acc, zk)
+        cur = zk
+
+
 def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
                     want_stats, want_cycles, threshold, checkpoint_steps,
                     store_path, block_steps) -> EnsembleResult:
@@ -224,11 +280,13 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
     z = np.empty((lanes, width))
     kept = np.empty((len(terms), lanes, width)) if want_stats else None
     if terms:
-        # the step calls each psi with out=; a call-counting decorator (such
+        # the step calls each psi with out; a call-counting decorator (such
         # as the one bench/tracing.py installs) takes x alone, so step past it
         term_psis = [inspect.unwrap(psis[i]) for i, _ in terms]
-        # 0-d array operands and out by position, as in basis: a Python
-        # float costs a scalar conversion, a keyword its parsing
+        # 0-d array operands and ufunc calls with out by position, as in
+        # basis: a Python float costs a scalar conversion, a keyword its
+        # parsing, and an in-place operator with a 0-d operand (acc *= dt_arr)
+        # about twice the call multiply(acc, dt_arr, acc) on 50 lanes
         c_first, *c_rest = [np.array(c) for _, c in terms]
         dt_arr = np.array(dt)
         # tile buffers, step-major, for tiles of up to `tile` steps of a
@@ -245,11 +303,20 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
             psi_at = [tuple(kt[:, n]) for n in range(tile)]
         else:
             psi_at = [tuple(np.empty((len(terms), lanes)))] * tile
-        # per step of a tile: its zt row, the psi calls, psi of the first
-        # term and the (coefficient, psi) pairs of the later ones
-        tile_steps = [(zk, tuple(zip(term_psis, psi)), psi[0], tuple(zip(c_rest, psi[1:])))
-                      for zk, psi in zip(zt, psi_at)]
+        def tile_steps(funcs):
+            """Per step of a tile, for _euler_tile: its zt row, the calls of
+            funcs, psi of the first term and the (coefficient, psi) pairs of
+            the later ones."""
+            return [(zk, tuple(zip(funcs, psi)), psi[0], tuple(zip(c_rest, psi[1:])))
+                    for zk, psi in zip(zt, psi_at)]
+
+        # the fast pass calls the step forms of the psis (sinc without its
+        # guard at 0), the guarded pass the psis themselves
+        fast_steps = tile_steps([_STEP_FORMS.get(f, f) for f in term_psis])
+        guarded_steps = tile_steps(term_psis)
         acc, scratch, last = np.empty(lanes), np.empty(lanes), np.empty(lanes)
+        step_args = (c_first, dt_arr, acc, scratch)
+        caller_err = np.geterr()
 
     def kept_to(cut):
         """The kept psi values of the current block's first cut steps."""
@@ -268,28 +335,30 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
             np.cumsum(zb, axis=1, out=zb)
             zb += x[:, None]
         else:
-            # z_k + (b(x_k) dt + x_k) has the bits of x_k + b(x_k) dt + z_k
             cur = x
-            for lo in range(0, b, tile):
-                t = min(tile, b - lo)
-                zt[:t] = zb[:, lo:lo + t].T
-                for zk, calls, psi_first, later in tile_steps[:t]:
-                    for f, v in calls:
-                        f(cur, out=v)
-                    # b(x_k) summed in model._drift_sum's order
-                    np.multiply(c_first, psi_first, acc)
-                    for c, v in later:
-                        acc += np.multiply(c, v, scratch)
-                    acc *= dt_arr
-                    acc += cur
-                    zk += acc
-                    cur = zk
-                zb[:, lo:lo + t] = zt[:t].T
-                if want_stats:
-                    kept[:, :, lo:lo + t] = kt[:, :t].transpose(0, 2, 1)
-                # the next tile's noise overwrites zt: keep the last state
-                last[...] = zt[t - 1]
-                cur = last
+            # the fast pass hides the invalid flag of its NaNs; the guarded
+            # rerun below runs under the caller's settings
+            with np.errstate(invalid="ignore"):
+                for lo in range(0, b, tile):
+                    t = min(tile, b - lo)
+                    zt[:t] = zb[:, lo:lo + t].T
+                    _euler_tile(cur, fast_steps[:t], *step_args)
+                    # a NaN, once in a lane, stays to the tile's end.  It
+                    # comes from a step form at its unguarded point (x0 = 0
+                    # puts the first tile of a run there) or from a diverging
+                    # path: rerun the tile from its start with the guarded
+                    # psis, which gives their bits and, on divergence, their
+                    # warnings.  zb still holds the tile's noise.
+                    if not np.isfinite(zt[t - 1]).all():
+                        zt[:t] = zb[:, lo:lo + t].T
+                        with np.errstate(**caller_err):
+                            _euler_tile(cur, guarded_steps[:t], *step_args)
+                    zb[:, lo:lo + t] = zt[:t].T
+                    if want_stats:
+                        kept[:, :, lo:lo + t] = kt[:, :t].transpose(0, 2, 1)
+                    # the next tile's noise overwrites zt: keep the last state
+                    last[...] = zt[t - 1]
+                    cur = last
         if want_stats:
             for step in ck_steps:
                 if done < step < done + b:

@@ -56,29 +56,40 @@ def _canned(kind):
     return ExperimentConfig.from_dict(data)
 
 
+def _run_canned(kind):
+    """The canned report of kind, run on two workers (NULLREC_THREADS=2).
+
+    Results may not depend on the worker count, so the golden CSVs hold each
+    report to that as well as to its numbers.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("NULLREC_THREADS", "2")
+        return run_experiment(_canned(kind))
+
+
 @pytest.fixture(scope="module")
 def identity_report():
-    return run_experiment(_canned("identity"))
+    return _run_canned("identity")
 
 
 @pytest.fixture(scope="module")
 def rate_report():
-    return run_experiment(_canned("rate"))
+    return _run_canned("rate")
 
 
 @pytest.fixture(scope="module")
 def tail_report():
-    return run_experiment(_canned("tail"))
+    return _run_canned("tail")
 
 
 @pytest.fixture(scope="module")
 def rlt_report():
-    return run_experiment(_canned("rlt"))
+    return _run_canned("rlt")
 
 
 @pytest.fixture(scope="module")
 def risk_report():
-    return run_experiment(_canned("risk"))
+    return _run_canned("risk")
 
 
 # ---------------------------------------------------------------- criteria

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -9,6 +10,7 @@ from nullrec import (
     ModelSpec,
     ParameterDomainError,
     ParamVector,
+    SimulationDivergedError,
     SufficientStats,
     accumulate_stats,
     eval_drift,
@@ -19,6 +21,7 @@ from nullrec import (
     simulate_path,
 )
 from nullrec import simulate
+from nullrec.basis import principal_f1, sinc
 from nullrec.simulate import EnsembleResult, lane_rng, n_steps_for, n_threads
 
 
@@ -170,6 +173,67 @@ def test_kernel_step_uses_eval_drift(basis, theta1):
         np.testing.assert_allclose(res.paths, want, rtol=0, atol=1e-12)
     else:
         assert res.paths.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block_steps", [1, 7, None])
+@pytest.mark.parametrize("x0", [0.0, -0.0, 5e-324])
+@pytest.mark.parametrize("theta1, theta2", [(0.0, 0.5), (0.1, 0.3)])
+def test_kernel_from_sinc_zero_equals_plain_loop(x0, block_steps, theta1, theta2):
+    # sinc's step form gives NaN at these x0, so the first tile of every run
+    # is rerun with the guarded sinc; in 1-step and 7-step blocks (and so
+    # tiles) and in one 300-step block, the paths are a plain Euler loop over
+    # basis.sinc bit for bit, the NaN raises no warning, and (y, J) are those
+    # of the stored paths (bit for bit in one block, which sums in the same
+    # order)
+    sigma, dt, seed, lanes, steps = 1.0, 1e-2, 29, 3, 300
+    spec = ModelSpec.from_names(sigma, "sinc", x0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_ensemble(spec, ParamVector(theta1, (theta2,)), steps * dt, dt, seed,
+                           lanes, store_path=True, block_steps=block_steps, threads=1)
+    z = np.array([lane_rng(seed, lane).standard_normal(steps) for lane in range(lanes)])
+    want = np.empty((lanes, steps + 1))
+    want[:, 0] = x = np.full(lanes, x0)
+    for k in range(steps):
+        drift = theta2 * sinc(x)
+        if theta1:
+            drift = theta1 * principal_f1(x) + drift
+        x = x + drift * dt + sigma * np.sqrt(dt) * z[:, k]
+        want[:, k + 1] = x
+    assert res.paths.tobytes() == want.tobytes()
+    for lane in range(lanes):
+        st = accumulate_stats(spec, DiffusionPath(dt=dt, values=res.paths[lane]))
+        if block_steps is None:
+            assert np.array_equal(res.y[lane], st.y) and np.array_equal(res.j[lane], st.j)
+        else:
+            np.testing.assert_allclose(res.y[lane], st.y, rtol=1e-12)
+            np.testing.assert_allclose(res.j[lane], st.j, rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_diverging_run_raises():
+    # from near the largest float, noise of sigma sqrt(dt) = 1e307 overflows
+    # the state, and sinc of inf is NaN; the guarded rerun of the tile warns
+    # about it as the step always has, and the block's end raises
+    spec = ModelSpec.from_names(1e154, "sinc", 1.7e308)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in sin"):
+        with pytest.raises(SimulationDivergedError):
+            run_ensemble(spec, ParamVector(0.0, (0.5,)), 1e308, 1e306, 3, 4,
+                         want_stats=False, threads=1)
+
+
+@pytest.mark.parametrize("seed, lane", [(2**64 - 1, 0), (-1, 5), (2**70 + 2**63 + 9, 2**64 + 3),
+                                        (2**63, (300 << 32) | 49), (12, (16 << 32) | 399)])
+def test_lane_rng_is_philox_keyed_by_seed_and_lane(seed, lane):
+    # masked seeds >= 2^63 and lanes ctx << 32 | k: the same state and draws
+    # as Philox(key=...)
+    key = np.array([seed % 2**64, lane % 2**64], dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key))
+    got = lane_rng(seed, lane)
+    np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)
+    for draw in (lambda g: g.standard_normal(1001), lambda g: g.random(3),
+                 lambda g: g.integers(0, 1 << 40, 5)):
+        assert draw(got).tobytes() == draw(want).tobytes()
 
 
 def test_stats_off_path_equals_stats_on(spec_sinc):
