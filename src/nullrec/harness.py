@@ -12,6 +12,7 @@ reports do not depend on scheduling or worker count.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 import time
@@ -35,7 +36,8 @@ from .model import (
     scale_inverse,
     theta_in_domain,
 )
-from .simulate import SufficientStats, n_steps_for, run_ensemble, score_at
+from .simulate import (SufficientStats, _worker_pool, n_steps_for, n_threads, run_ensemble,
+                       score_at)
 
 __all__ = [
     "ExperimentConfig",
@@ -258,6 +260,24 @@ def _ensemble(config, spec, theta, horizon, ctx, first=0, **kwargs):
                         block_steps=config.block_steps, **kwargs)
 
 
+def _at_once(pieces, main):
+    """(results of pieces, result of main): independent calls run together.
+
+    pieces is a list of calls.  With one worker (n_threads() == 1) they run
+    in order in this thread, and then main.  Otherwise each piece runs in a
+    thread of its own, while this thread runs main.  The pieces' results
+    come back in their given order, whichever finished first.
+    """
+    if n_threads() == 1:
+        return [call() for call in pieces], main()
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=max(1, len(pieces))) as threads:
+        futures = [threads.submit(call) for call in pieces]
+        done = main()
+        return [future.result() for future in futures], done
+
+
 def _ensemble_mle(res, horizon, x0, window=None):
     """Stacked ML estimates of every replication, restricted when windowed."""
     if window is None:
@@ -371,28 +391,33 @@ def _rate_rows(config: ExperimentConfig, spec, theta) -> list:
     p = 1 + spec.m
     rows = []
 
-    per_horizon = {}
-    for hz_index, horizon in enumerate(config.horizons):
-        errs, errs_win, frac = _rescaled_errors(config, spec, theta, horizon, hz_index)
-        per_horizon[horizon] = (errs, errs_win)
-        rows.append(ReportRow(horizon, None, "invertible_fraction", frac,
-                              GATES["min_invertible_frac"],
-                              frac >= GATES["min_invertible_frac"]))
-
-    lam = mu_moment_matrix(spec, theta)
-    law = LimitLawSpec(alpha=consts.alpha, cov=lam)
-    lim = sample_limit_error(law, rng_stream(config.master_seed, _CTX_LIMIT_COMPARE),
-                             config.limit_draws)
-    cal_a = sample_limit_error(law, rng_stream(config.master_seed, _CTX_LIMIT_CAL_A),
-                               config.limit_draws)
-    cal_b = sample_limit_error(law, rng_stream(config.master_seed, _CTX_LIMIT_CAL_B),
-                               config.limit_draws)
-    if config.window is not None:
+    def limit_draws():
+        """The limit laws' moment matrices and their draws."""
+        lam = mu_moment_matrix(spec, theta)
+        law = LimitLawSpec(alpha=consts.alpha, cov=lam)
+        draws = [sample_limit_error(law, rng_stream(config.master_seed, ctx),
+                                    config.limit_draws)
+                 for ctx in (_CTX_LIMIT_COMPARE, _CTX_LIMIT_CAL_A, _CTX_LIMIT_CAL_B)]
+        if config.window is None:
+            return lam, None, draws, None
         lam_win = mu_moment_matrix(spec, theta, window=config.window)
         law_win = LimitLawSpec(alpha=consts.alpha, cov=lam_win)
         lim_win = sample_limit_error(
             law_win, rng_stream(config.master_seed, _CTX_LIMIT_COMPARE_WIN),
             config.limit_draws)
+        return lam, lam_win, draws, lim_win
+
+    errors, (lam, lam_win, (lim, cal_a, cal_b), lim_win) = _at_once(
+        [functools.partial(_rescaled_errors, config, spec, theta, horizon, i)
+         for i, horizon in enumerate(config.horizons)],
+        limit_draws)
+    per_horizon = {}
+    for horizon, (errs, errs_win, frac) in zip(config.horizons, errors):
+        per_horizon[horizon] = (errs, errs_win)
+        rows.append(ReportRow(horizon, None, "invertible_fraction", frac,
+                              GATES["min_invertible_frac"],
+                              frac >= GATES["min_invertible_frac"]))
+    if config.window is not None:
         diff_eigs = np.linalg.eigvalsh(lam - lam_win)
         rows.append(ReportRow(None, None, "moment_matrix_gap_min_eig",
                               float(diff_eigs[0]), 0.0, bool(diff_eigs[0] > 0.0)))
@@ -598,43 +623,54 @@ def _risk_rows(config: ExperimentConfig, spec, theta) -> list:
     loss = make_loss("sqclip")
     rows = []
 
-    sigma_mat = information_scale_matrix(spec, theta)
-    law = LimitLawSpec(alpha=consts.alpha, cov=sigma_mat)
-    bound, bound_se = monte_carlo_risk(
-        law, loss, config.bound_draws,
-        rng_stream(config.master_seed, _CTX_RISK_BOUND))
+    def risk_bound():
+        """The risk bound and its standard error, over draws of the limit law."""
+        sigma_mat = information_scale_matrix(spec, theta)
+        law = LimitLawSpec(alpha=consts.alpha, cov=sigma_mat)
+        return monte_carlo_risk(law, loss, config.bound_draws,
+                                rng_stream(config.master_seed, _CTX_RISK_BOUND))
+
+    def losses_at(h_index, shifted_vec):
+        """The losses of the ML estimates at one shift, and the windowed risk."""
+        res = _ensemble(config, spec, ParamVector.from_array(shifted_vec), horizon,
+                        _CTX_RISK + h_index, window=config.window)
+        est = _ensemble_mle(res, horizon, spec.x0)
+        losses_mle = loss((est.theta_hat - shifted_vec) / delta_n)
+        if config.window is None:
+            return losses_mle, None
+        west = _ensemble_mle(res, horizon, spec.x0, config.window)
+        return losses_mle, float(np.mean(loss((west.theta_hat - shifted_vec) / delta_n)))
+
+    theta_vec = theta.as_array()
+    shifts = [theta_vec + delta_n * h for h in _h_grid(len(theta_vec))]
+    inside = [i for i, v in enumerate(shifts)
+              if theta_in_domain(spec, ParamVector.from_array(v))]
+    results, (bound, bound_se) = _at_once(
+        [functools.partial(losses_at, i, shifts[i]) for i in inside], risk_bound)
+    at_h = dict(zip(inside, results))
     rows.append(ReportRow(None, None, "risk_bound", bound, None, None))
     rows.append(ReportRow(None, None, "risk_bound_stderr", bound_se, None, None))
 
-    theta_vec = theta.as_array()
     sup_mle, sup_win = -math.inf, -math.inf
     se_at_sup = 0.0
-    dropped = 0
-    for h_index, h in enumerate(_h_grid(len(theta_vec))):
-        shifted_vec = theta_vec + delta_n * h
-        shifted = ParamVector.from_array(shifted_vec)
-        if not theta_in_domain(spec, shifted):
-            dropped += 1
+    for h_index in range(len(shifts)):
+        if h_index not in at_h:
             rows.append(ReportRow(float(horizon), h_index, "h_point_dropped",
                                   1.0, None, None))
             continue
-        res = _ensemble(config, spec, shifted, horizon, _CTX_RISK + h_index,
-                        window=config.window)
-        est = _ensemble_mle(res, horizon, spec.x0)
-        losses_mle = loss((est.theta_hat - shifted_vec) / delta_n)
+        losses_mle, risk_w = at_h[h_index]
         risk = float(np.mean(losses_mle))
         se = float(np.std(losses_mle, ddof=1) / math.sqrt(len(losses_mle)))
         rows.append(ReportRow(float(horizon), h_index, "risk_mle_at_h", risk,
                               None, None))
         if risk > sup_mle:
             sup_mle, se_at_sup = risk, se
-        if config.window is not None:
-            west = _ensemble_mle(res, horizon, spec.x0, config.window)
-            risk_w = float(np.mean(loss((west.theta_hat - shifted_vec) / delta_n)))
+        if risk_w is not None:
             rows.append(ReportRow(float(horizon), h_index, "risk_windowed_at_h",
                                   risk_w, None, None))
             sup_win = max(sup_win, risk_w)
 
+    dropped = len(shifts) - len(inside)
     rows.append(ReportRow(float(horizon), None, "dropped_h_points", float(dropped),
                           None, None))
     rows.append(ReportRow(float(horizon), None, "sup_risk_mle", sup_mle, None, None))
@@ -664,7 +700,12 @@ _ROWS = {
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run one experiment; its rows are deterministic given the config."""
+    """Run one experiment; its rows are deterministic given the config.
+
+    Its ensembles share one pool of n_threads() worker processes, which is
+    joined before this returns.
+    """
     t_start = time.perf_counter()
-    rows = _ROWS[config.kind](config, config.model_spec(), config.theta())
+    with _worker_pool(n_threads()):
+        rows = _ROWS[config.kind](config, config.model_spec(), config.theta())
     return ExperimentReport(config.kind, rows, time.perf_counter() - t_start)

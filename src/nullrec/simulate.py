@@ -16,10 +16,12 @@ identically zero the per-step recursion collapses to a cumulative sum.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
 import math
 import os
+import threading
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -140,6 +142,54 @@ def n_threads() -> int:
     if value < 1:
         raise ValueError(f"NULLREC_THREADS={raw!r} is not a positive integer")
     return value
+
+
+# the open worker pool, and how many _worker_pool scopes share it
+_pool = None
+_pool_users = 0
+_pool_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A process pool for the calls inside the scope, or None.
+
+    With no pool open, a scope of two or more workers opens one and forks
+    every worker on entry; a scope opened while a pool is open, in any
+    thread, shares it.  The last scope that shares a pool shuts it down and
+    joins its workers on exit.  With no pool open and fewer than two workers
+    the scope yields None.
+
+    Under the fork start method CPython forks all of a pool's workers at its
+    first submit (gh-90622), so the no-op submitted on entry forks them
+    before the caller starts any thread of its own.
+    """
+    global _pool, _pool_users
+    with _pool_lock:
+        if _pool is None and workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            opened = ProcessPoolExecutor(workers)
+            try:
+                opened.submit(int)  # returns 0; no one waits for it
+            except BaseException:
+                opened.shutdown()
+                raise
+            _pool = opened
+        pool = _pool
+        if pool is not None:
+            _pool_users += 1
+    try:
+        yield pool
+    finally:
+        if pool is not None:
+            with _pool_lock:
+                _pool_users -= 1
+                last = _pool_users == 0
+                if last:
+                    _pool = None
+            if last:
+                pool.shutdown()
 
 
 # elements per array in a lane chunk of _add_stats, and in all the tile
@@ -316,7 +366,9 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
         guarded_steps = tile_steps(term_psis)
         acc, scratch, last = np.empty(lanes), np.empty(lanes), np.empty(lanes)
         step_args = (c_first, dt_arr, acc, scratch)
-        caller_err = np.geterr()
+        caller_err = dict(np.geterr(), call=np.geterrcall())
+        flagged = set()  # the floating-point errors of the fast pass's tile
+        fast_err = dict(all="call", call=lambda err, flag: flagged.add(err))
 
     def kept_to(cut):
         """The kept psi values of the current block's first cut steps."""
@@ -336,20 +388,24 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
             zb += x[:, None]
         else:
             cur = x
-            # the fast pass hides the invalid flag of its NaNs; the guarded
-            # rerun below runs under the caller's settings
-            with np.errstate(invalid="ignore"):
+            # the fast pass notes its floating-point errors and shows none;
+            # the guarded rerun below runs under the caller's settings, so
+            # each warning the caller asks for comes once
+            with np.errstate(**fast_err):
                 for lo in range(0, b, tile):
                     t = min(tile, b - lo)
                     zt[:t] = zb[:, lo:lo + t].T
+                    flagged.clear()
                     _euler_tile(cur, fast_steps[:t], *step_args)
                     # a NaN, once in a lane, stays to the tile's end.  It
                     # comes from a step form at its unguarded point (x0 = 0
                     # puts the first tile of a run there) or from a diverging
-                    # path: rerun the tile from its start with the guarded
-                    # psis, which gives their bits and, on divergence, their
+                    # path; an error flag with finite states comes from an
+                    # overflow such as x*x in principal_f1 above 1.3e154.
+                    # Either way, rerun the tile from its start with the
+                    # guarded psis, which gives their bits and their
                     # warnings.  zb still holds the tile's noise.
-                    if not np.isfinite(zt[t - 1]).all():
+                    if flagged or not np.isfinite(zt[t - 1]).all():
                         zt[:t] = zb[:, lo:lo + t].T
                         with np.errstate(**caller_err):
                             _euler_tile(cur, guarded_steps[:t], *step_args)
@@ -437,6 +493,10 @@ def run_ensemble(
     at step n_steps_for(t, dt) to checkpoints, keyed by that step times dt.
     A snapshot has the bits of a run to that time with the same block_steps,
     and asking for it leaves every other result bit-identical.
+
+    The replications are split into min(threads, replications) lane chunks
+    (threads defaults to n_threads()).  Several chunks run on the worker pool
+    of an open _worker_pool scope, or else on a pool opened for this call.
     """
     require_valid_theta(spec, theta)
     for name, value in (("horizon", horizon), ("dt", dt)):
@@ -473,9 +533,7 @@ def run_ensemble(
         store_path=store_path, block_steps=block_steps)
     if len(spans) == 1:
         return chunk(spans[0])
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+    with _worker_pool(len(spans)) as pool:
         parts = list(pool.map(chunk, spans))
     return _merge(parts)
 

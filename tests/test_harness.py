@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -294,3 +295,20 @@ def test_risk_experiment_smoke():
 def test_run_experiment_dispatch():
     report = run_experiment(IDENT)
     assert report.kind == "identity"
+
+
+@pytest.mark.parametrize("kind", ["rate", "risk"])
+def test_rows_do_not_depend_on_workers(monkeypatch, kind):
+    # with two workers the ensembles run in threads on one pool while the
+    # moment matrices and limit draws run meanwhile; the rows, and their
+    # order, are those of one worker, and no worker outlives the experiment
+    cfg = ExperimentConfig(kind=kind, theta2=(0.3,), horizons=(20, 40), dt=1e-2,
+                           replications=12, master_seed=23, window=(-2.0, 2.0),
+                           limit_draws=300, bound_draws=2000)
+    rows = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("NULLREC_THREADS", workers)
+        report = run_experiment(cfg)
+        assert multiprocessing.active_children() == []
+        rows[workers] = [repr(dataclasses.astuple(r)) for r in report.rows]
+    assert rows["1"] == rows["2"]

@@ -41,7 +41,8 @@ from nullrec.harness import ExperimentConfig, run_experiment
 def scipy_loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-loaded = {"import": scipy_loaded()}
+loaded = {"import": scipy_loaded(),
+          "import_concurrent": sorted(m for m in sys.modules if m.startswith("concurrent"))}
 run_experiment(ExperimentConfig(kind="identity", theta1=0.1, theta2=(-0.3,),
                                 horizons=(2,), replications=4))
 loaded["identity"] = scipy_loaded()
@@ -68,4 +69,6 @@ def test_numpy_only_paths_never_load_scipy():
     loaded = json.loads(proc.stdout)
     for step in ("import", "identity", "tail", "constants"):
         assert loaded[step] == [], step
+    # the worker pool's concurrent.futures is imported where a pool opens
+    assert loaded["import_concurrent"] == []
     assert "scipy.special" in loaded["moments"]  # the control: a windowed moment matrix needs Si

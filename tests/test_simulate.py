@@ -1,3 +1,7 @@
+import collections
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -222,6 +226,41 @@ def test_diverging_run_raises():
                          want_stats=False, threads=1)
 
 
+def _warnings_of(call):
+    """call()'s result, and how often it issued each warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, collections.Counter(str(w.message) for w in caught)
+
+
+def test_diverging_tile_warns_once():
+    # the fast pass shows none of its warnings, and the guarded rerun shows
+    # each once: every step where a lane overflows warns about the add once,
+    # and the next step about sin(inf) once
+    spec = ModelSpec.from_names(1e154, "sinc", 1.7e308)
+
+    def run():
+        with pytest.raises(SimulationDivergedError):
+            run_ensemble(spec, ParamVector(0.0, (0.5,)), 1e308, 1e306, 3, 4,
+                         want_stats=False, threads=1)
+
+    _, seen = _warnings_of(run)
+    assert set(seen) == {"overflow encountered in add", "invalid value encountered in sin"}
+    assert seen["overflow encountered in add"] == seen["invalid value encountered in sin"] >= 1
+
+
+def test_overflow_with_finite_state_warns_once_per_step():
+    # above 1.3e154 principal_f1's x*x overflows while f1 and the state stay
+    # finite; the fast pass hides it, and the rerun it sets off warns once a step
+    spec = ModelSpec.from_names(1.0, "none", 1e155)
+    steps, lanes = 5, 3
+    res, seen = _warnings_of(lambda: run_ensemble(spec, ParamVector(0.1), steps * 1e-2,
+                                                  1e-2, 3, lanes, threads=1))
+    assert seen == {"overflow encountered in multiply": steps}
+    assert np.isfinite(res.final_x).all() and np.isfinite(res.y).all()
+
+
 @pytest.mark.parametrize("seed, lane", [(2**64 - 1, 0), (-1, 5), (2**70 + 2**63 + 9, 2**64 + 3),
                                         (2**63, (300 << 32) | 49), (12, (16 << 32) | 399)])
 def test_lane_rng_is_philox_keyed_by_seed_and_lane(seed, lane):
@@ -440,6 +479,76 @@ def test_n_threads_rejects_malformed(monkeypatch, raw):
     monkeypatch.setenv("NULLREC_THREADS", raw)
     with pytest.raises(ValueError, match=repr(raw)):
         n_threads()
+
+
+def test_worker_pool_forks_on_entry_and_is_shared(monkeypatch, spec_sinc, theta_sinc):
+    monkeypatch.setenv("NULLREC_THREADS", "2")
+    serial = run_ensemble(spec_sinc, theta_sinc, 2.0, 1e-2, 3, 5, threads=1)
+    with simulate._worker_pool(1) as none:
+        assert none is None and multiprocessing.active_children() == []
+    with simulate._worker_pool(n_threads()) as pool:
+        forked = {p.pid for p in multiprocessing.active_children()}
+        assert len(forked) == n_threads()
+        for _ in range(2):
+            res = run_ensemble(spec_sinc, theta_sinc, 2.0, 1e-2, 3, 5)
+            assert {p.pid for p in multiprocessing.active_children()} == forked
+            assert res.y.tobytes() == serial.y.tobytes()
+            assert res.j.tobytes() == serial.j.tobytes()
+        with simulate._worker_pool(1) as inner:
+            assert inner is pool
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_pool_that_fails_to_fork_is_not_kept(monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    def no_fork(self, fn, *args):
+        raise OSError("fork failed")
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", no_fork)
+    with pytest.raises(OSError, match="fork failed"):
+        with simulate._worker_pool(2):
+            pass
+    assert simulate._pool is None and simulate._pool_users == 0
+    monkeypatch.undo()
+    with simulate._worker_pool(2) as pool:
+        assert pool.submit(int, 3).result() == 3
+    assert simulate._pool is None and multiprocessing.active_children() == []
+
+
+def test_worker_pool_scopes_from_many_threads(spec_sinc, theta_sinc):
+    # more threads than cores share and release the main thread's pool at
+    # once, with a short switch interval; a lost update of the share count
+    # would shut the pool down under a thread still mapping onto it, or leave
+    # it open.  The pool forks before any thread starts.
+    want = run_ensemble(spec_sinc, theta_sinc, 1.0, 1e-2, 7, 4, threads=1).y.tobytes()
+    errors, threads = [], []
+
+    def work():
+        try:
+            for _ in range(3):
+                with simulate._worker_pool(2):
+                    got = run_ensemble(spec_sinc, theta_sinc, 1.0, 1e-2, 7, 4, threads=2)
+                    assert got.y.tobytes() == want
+        except Exception as exc:  # reported by the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with simulate._worker_pool(2) as pool:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert simulate._pool is pool and simulate._pool_users == 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert simulate._pool is None and simulate._pool_users == 0
+    assert multiprocessing.active_children() == []
 
 
 def test_block_size_does_not_change_results(spec_sinc):
