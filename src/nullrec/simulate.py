@@ -201,43 +201,62 @@ def _default_block(lanes: int) -> int:
     return max(256, min(65536, 2_000_000 // max(lanes, 1)))
 
 
-def _add_stats(psis, x, pb, kept, targets):
+def _add_stats(psis, x, pb, kept, targets, quiet=()):
     """Add one block's left-point sums to raw (y, jj) accumulators.
 
     pb (L, b) holds the path after each step and x (L,) the state before the
     block.  kept maps a psi slot to its values at the left points; the other
-    slots are evaluated here.  Each (window, y, jj) of targets gets the sums
-    psi_i dx in y (L, p) and psi_i psi_l in jj (L, p, p), over every step
-    (window None) or only over steps that start inside the window.  Each
-    off-diagonal sum is added to both of its entries, so jj stays symmetric
-    bit for bit.
+    slots are evaluated here, those in quiet with their floating-point errors
+    hidden (the Euler step has shown them for these states).  Each
+    (window, steps, y, jj) of targets gets the sums psi_i dx in y (L, p) and
+    psi_i psi_l in jj (L, p, p) over the block's first `steps` steps (steps
+    None: all of them), with a window only over steps that start inside it.
+    Each off-diagonal sum is added to both of its entries, so jj stays
+    symmetric bit for bit.
 
     Lanes go through in chunks of about _STATS_CHUNK elements per array, so
-    that the temporaries stay in cache.  Each lane still sums along its own
-    row, so which lanes share a chunk cannot change a bit.
+    that the temporaries stay in cache.  Each product is formed once per
+    chunk and every target sums it: a windowed target after a multiply by the
+    window's 0/1 mask (for m in {0, 1} and a finite a*c, (a*m)*(c*m) and
+    (a*c)*m are the same bits), a checkpoint's over the first `steps` columns.  Each lane still
+    sums along its own row, so which lanes share a chunk cannot change a bit.
     """
     lanes, b = pb.shape
     p = len(psis)
     rows = max(1, _STATS_CHUNK // b)
+    prod = np.empty((min(rows, lanes), b))
+    masked = np.empty_like(prod)
     for lo in range(0, lanes, rows):
         r = slice(lo, lo + rows)
-        xl = np.empty((min(rows, lanes - lo), b))
+        n = min(rows, lanes - lo)
+        xl = np.empty((n, b))
         xl[:, 0] = x[r]
         xl[:, 1:] = pb[r, :-1]
         dx = pb[r] - xl
-        evals = [kept[i][r] if i in kept else f(xl) for i, f in enumerate(psis)]
-        for window, y, jj in targets:
-            ev = evals
-            if window is not None:
-                mask = (xl >= window[0]) & (xl <= window[1])
-                ev = [e * mask for e in evals]
-            for i in range(p):
-                y[r, i] += (ev[i] * dx).sum(axis=1)
-                for l in range(i, p):
-                    s = (ev[i] * ev[l]).sum(axis=1)
-                    jj[r, i, l] += s
-                    if l != i:
-                        jj[r, l, i] += s
+        evals = []
+        for i, f in enumerate(psis):
+            if i in kept:
+                evals.append(kept[i][r])
+            elif i in quiet:
+                with np.errstate(all="ignore"):
+                    evals.append(f(xl))
+            else:
+                evals.append(f(xl))
+        masks = [None if w is None else ((xl >= w[0]) & (xl <= w[1])).astype(float)
+                 for w, *_ in targets]
+        pr, pr_masked = prod[:n], masked[:n]
+        for i in range(p):
+            for l in [None, *range(i, p)]:  # None: psi_i dx, else psi_i psi_l
+                np.multiply(evals[i], dx if l is None else evals[l], out=pr)
+                for (_, steps, y, jj), mask in zip(targets, masks):
+                    s = pr if mask is None else np.multiply(pr, mask, out=pr_masked)
+                    s = (s if steps is None else s[:, :steps]).sum(axis=1)
+                    if l is None:
+                        y[r, i] += s
+                    else:
+                        jj[r, i, l] += s
+                        if l != i:
+                            jj[r, l, i] += s
 
 
 def _scaled_stats(y, jj, sigma: float, dt: float):
@@ -307,14 +326,14 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
     p = len(psis)
 
     x = np.full(lanes, spec.x0, dtype=float)
-    targets = []  # the (window, y, jj) accumulators of _add_stats
+    targets = []  # the (window, steps, y, jj) accumulators of _add_stats
     if want_stats:
         y = np.zeros((lanes, p))
         jj = np.zeros((lanes, p, p))
-        targets.append((None, y, jj))
+        targets.append((None, None, y, jj))
         if window is not None:
             y_win, j_win = np.zeros((lanes, p)), np.zeros((lanes, p, p))
-            targets.append((window, y_win, j_win))
+            targets.append((window, None, y_win, j_win))
     if want_cycles:
         mode = [0] * lanes  # 0: await upcross, 1: await downcross
         r_times = [[] for _ in range(lanes)]
@@ -322,13 +341,16 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
         paths = np.empty((lanes, n_steps + 1))
         paths[:, 0] = x
     checkpoints = {}
-    ck_steps = checkpoint_steps if want_stats else ()
     # block buffers, reused by every block: z holds the scaled noise, which
-    # the state after each step overwrites, and kept[n] the Euler step's psi
-    # values of drift term n before it
+    # the state after each step overwrites, and with stats kept[n] the Euler
+    # step's psi values, before each step, of the n-th basis drift term.  f1
+    # costs less to evaluate again in the stats pass than to keep.
     width = min(block_steps, n_steps)
     z = np.empty((lanes, width))
-    kept = np.empty((len(terms), lanes, width)) if want_stats else None
+    kept_slots = [i for i, _ in terms if i > 0] if want_stats else []
+    kept = np.empty((len(kept_slots), lanes, width))
+    # f1 as a drift term has shown its warnings in the step
+    quiet = (0,) if theta.theta1 != 0.0 else ()
     if terms:
         # the step calls each psi with out; a call-counting decorator (such
         # as the one bench/tracing.py installs) takes x alone, so step past it
@@ -341,18 +363,17 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
         dt_arr = np.array(dt)
         # tile buffers, step-major, for tiles of up to `tile` steps of a
         # block: zt[n] takes step n's noise and then the state after it, and
-        # kt[k, n] psi of drift term k at the state before it.  Each step
-        # writes only contiguous rows; a tile is copied from and back to the
-        # lane-major block buffers once.  Together they hold about
-        # _STATS_CHUNK elements.
-        arrays = 1 + len(terms) if want_stats else 1
-        tile = min(width, max(1, _STATS_CHUNK // (arrays * lanes)))
+        # kt[k, n] psi of the k-th kept term at the state before it.  Each
+        # step writes only contiguous rows; a tile is copied from and back to
+        # the lane-major block buffers once.  Together they hold about
+        # _STATS_CHUNK elements.  Each term not kept (all of them without
+        # stats) puts its psi into one vector that every step reuses; those
+        # terms come first in slot order.
+        tile = min(width, max(1, _STATS_CHUNK // ((1 + len(kept_slots)) * lanes)))
         zt = np.empty((tile, lanes))
-        if want_stats:
-            kt = np.empty((len(terms), tile, lanes))
-            psi_at = [tuple(kt[:, n]) for n in range(tile)]
-        else:
-            psi_at = [tuple(np.empty((len(terms), lanes)))] * tile
+        kt = np.empty((len(kept_slots), tile, lanes))
+        reused = tuple(np.empty((len(terms) - len(kept_slots), lanes)))
+        psi_at = [reused + tuple(kt[:, n]) for n in range(tile)]
         def tile_steps(funcs):
             """Per step of a tile, for _euler_tile: its zt row, the calls of
             funcs, psi of the first term and the (coefficient, psi) pairs of
@@ -369,10 +390,6 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
         caller_err = dict(np.geterr(), call=np.geterrcall())
         flagged = set()  # the floating-point errors of the fast pass's tile
         fast_err = dict(all="call", call=lambda err, flag: flagged.add(err))
-
-    def kept_to(cut):
-        """The kept psi values of the current block's first cut steps."""
-        return {i: kb[:, :cut] for (i, _), kb in zip(terms, kept)}
 
     # the block grid is fixed by block_steps alone, so checkpoints cannot move
     # the bits of any sum: a checkpoint inside a block adds the block's prefix
@@ -410,20 +427,19 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
                         with np.errstate(**caller_err):
                             _euler_tile(cur, guarded_steps[:t], *step_args)
                     zb[:, lo:lo + t] = zt[:t].T
-                    if want_stats:
+                    if kept_slots:
                         kept[:, :, lo:lo + t] = kt[:, :t].transpose(0, 2, 1)
                     # the next tile's noise overwrites zt: keep the last state
                     last[...] = zt[t - 1]
                     cur = last
         if want_stats:
-            for step in ck_steps:
-                if done < step < done + b:
-                    cut = step - done
-                    y_ck, jj_ck = y.copy(), jj.copy()
-                    _add_stats(psis, x, zb[:, :cut], kept_to(cut), [(None, y_ck, jj_ck)])
-                    checkpoints[step * dt] = _scaled_stats(y_ck, jj_ck, spec.sigma, dt)
-            _add_stats(psis, x, zb, kept_to(b), targets)
-            if done + b in ck_steps:
+            inner = [(None, step - done, y.copy(), jj.copy())
+                     for step in checkpoint_steps if done < step < done + b]
+            _add_stats(psis, x, zb, {i: kb[:, :b] for i, kb in zip(kept_slots, kept)},
+                       targets + inner, quiet)
+            for _, cut, y_ck, jj_ck in inner:
+                checkpoints[(done + cut) * dt] = _scaled_stats(y_ck, jj_ck, spec.sigma, dt)
+            if done + b in checkpoint_steps:
                 checkpoints[(done + b) * dt] = _scaled_stats(y, jj, spec.sigma, dt)
         if want_cycles:
             up = zb > threshold
@@ -489,8 +505,9 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run replications in lock-step and collect the requested functionals.
 
-    Each time t of checkpoint_times (dt <= t <= horizon) adds the line (y, j)
-    at step n_steps_for(t, dt) to checkpoints, keyed by that step times dt.
+    Each time t of checkpoint_times (dt <= t <= horizon; want_stats required)
+    adds the line (y, j) at step n_steps_for(t, dt) to checkpoints, keyed by
+    that step times dt.
     A snapshot has the bits of a run to that time with the same block_steps,
     and asking for it leaves every other result bit-identical.
 
@@ -508,6 +525,9 @@ def run_ensemble(
         raise ValueError("need 0 < dt <= horizon (or horizon == 0)")
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    if checkpoint_times and not want_stats:
+        raise ValueError("checkpoint_times needs want_stats=True: a checkpoint is a "
+                         "snapshot of the (y, j) statistics")
     n_steps = n_steps_for(horizon, dt)
     if want_cycles and threshold is None:
         threshold = scale_inverse(spec, theta, 1.0)
@@ -556,7 +576,7 @@ def accumulate_stats(spec: ModelSpec, path: DiffusionPath,
     y = np.zeros((1, len(psis)))
     j = np.zeros((1, len(psis), len(psis)))
     if vals.size > 1:
-        _add_stats(psis, vals[:1], vals[None, 1:], {}, [(window, y, j)])
+        _add_stats(psis, vals[:1], vals[None, 1:], {}, [(window, None, y, j)])
     y, j = _scaled_stats(y, j, spec.sigma, path.dt)
     return SufficientStats(y=y[0], j=j[0], t=(vals.size - 1) * path.dt, window=window,
                            x0=float(vals[0]))

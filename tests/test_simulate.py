@@ -26,6 +26,7 @@ from nullrec import (
 )
 from nullrec import simulate
 from nullrec.basis import principal_f1, sinc
+from nullrec.model import _psi_funcs
 from nullrec.simulate import EnsembleResult, lane_rng, n_steps_for, n_threads
 
 
@@ -467,6 +468,12 @@ def test_checkpoint_outside_dt_to_horizon_rejected(spec_sinc, theta_sinc, t):
         run_ensemble(spec_sinc, theta_sinc, 10.0, 1e-2, 1, 2, checkpoint_times=(t,))
 
 
+def test_checkpoints_without_stats_rejected(spec_sinc, theta_sinc):
+    with pytest.raises(ValueError, match="checkpoint_times.*want_stats"):
+        run_ensemble(spec_sinc, theta_sinc, 10.0, 1e-2, 1, 2, want_stats=False,
+                     checkpoint_times=(5.0,))
+
+
 def test_n_threads_unset_means_one(monkeypatch):
     monkeypatch.delenv("NULLREC_THREADS", raising=False)
     assert n_threads() == 1
@@ -588,13 +595,13 @@ def _assert_same_bits(got, want):
                                           ("fourier-2", ParamVector(0.1, THETA2["fourier-2"]))])
 def test_tile_width_does_not_change_results(monkeypatch, basis, theta):
     # the Euler step runs in tiles of _STATS_CHUNK // (arrays * lanes) steps,
-    # with one tile array for the state and one per nonzero drift term: 1-step
+    # with one tile array for the state and one per nonzero basis term: 1-step
     # and 7-step tiles (7 does not divide the 977-step blocks) against the
     # default, one tile per block; the checkpoint at step 1234 falls inside a
     # 7-step tile and a default one
     spec = ModelSpec.from_names(1.0, basis)
     lanes = 3
-    arrays = 1 + sum(c != 0.0 for c in (theta.theta1,) + theta.theta2)
+    arrays = 1 + sum(c != 0.0 for c in theta.theta2)
     kwargs = dict(window=(-1.0, 1.5), checkpoint_times=(12.34,), want_cycles=True,
                   threshold=0.5, store_path=True, block_steps=977, threads=1)
     default = run_ensemble(spec, theta, 30.0, 1e-2, 41, lanes, **kwargs)
@@ -645,6 +652,81 @@ def test_lane_chunks_do_not_change_results(monkeypatch, basis, theta1, threads):
         assert np.array_equal(got, want)
 
 
+def _stats_one_target(psis, x, pb, kept, window, y, jj):
+    """One target's sums over all of pb, with products of masked psi values."""
+    lanes, b = pb.shape
+    p = len(psis)
+    rows = max(1, simulate._STATS_CHUNK // b)
+    for lo in range(0, lanes, rows):
+        r = slice(lo, lo + rows)
+        xl = np.empty((min(rows, lanes - lo), b))
+        xl[:, 0] = x[r]
+        xl[:, 1:] = pb[r, :-1]
+        dx = pb[r] - xl
+        ev = [kept[i][r] if i in kept else f(xl) for i, f in enumerate(psis)]
+        if window is not None:
+            mask = (xl >= window[0]) & (xl <= window[1])
+            ev = [e * mask for e in ev]
+        for i in range(p):
+            y[r, i] += (ev[i] * dx).sum(axis=1)
+            for l in range(i, p):
+                s = (ev[i] * ev[l]).sum(axis=1)
+                jj[r, i, l] += s
+                if l != i:
+                    jj[r, l, i] += s
+
+
+def _stats_per_target(psis, x, pb, kept, targets):
+    """The oracle of _add_stats: a pass per target, a checkpoint's over the
+    block's prefix."""
+    for window, steps, y, jj in targets:
+        cut = pb.shape[1] if steps is None else steps
+        _stats_one_target(psis, x, pb[:, :cut], {i: v[:, :cut] for i, v in kept.items()},
+                          window, y, jj)
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 15])
+@pytest.mark.parametrize("basis, kept_slots", [("sinc", ()), ("sinc", (1,)),
+                                               ("fourier-1", (2,)), ("fourier-1", (0, 1))])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_add_stats_equals_a_pass_per_target(monkeypatch, seed, basis, kept_slots, chunk):
+    # the one pass gives the bytes (-0 included) of a pass per target over
+    # random paths with exact zeros, lanes wholly outside the window, and
+    # checkpoints at steps 1, 7 and b - 1, into accumulators that hold -0
+    monkeypatch.setattr(simulate, "_STATS_CHUNK", chunk)
+    rng = np.random.default_rng(seed)
+    psis = _psi_funcs(ModelSpec.from_names(1.0, basis))
+    p, lanes, b, window = len(psis), 6, 40, (-1.0, 1.5)
+    x = rng.standard_normal(lanes)
+    x[0] = -0.0
+    pb = x[:, None] + np.cumsum(0.3 * rng.standard_normal((lanes, b)), axis=1)
+    pb[1, ::5] = 0.0
+    pb[2, 3::4] = -0.0
+    # lane 4 falls from 20 to 12, wholly outside the window
+    x[4] = 20.0
+    pb[4] = 20.0 - 0.2 * np.arange(1, b + 1)
+    xl = np.concatenate([x[:, None], pb[:, :-1]], axis=1)
+    kept = {i: psis[i](xl) for i in kept_slots}
+
+    def accumulators():
+        y, jj = rng.standard_normal((lanes, p)), rng.standard_normal((lanes, p, p))
+        y[::2] = -0.0
+        jj[::2] = -0.0
+        jj[:] = jj + jj.swapaxes(1, 2)
+        return y, jj
+
+    targets = [(None, None, *accumulators()), (window, None, *accumulators())]
+    targets += [(w, steps, *accumulators()) for steps in (1, 7, b - 1) for w in (None, window)]
+    want = [(w, steps, y.copy(), jj.copy()) for w, steps, y, jj in targets]
+    simulate._add_stats(psis, x, pb, kept, targets)
+    _stats_per_target(psis, x, pb, kept, want)
+    for (*_, y, jj), (*_, y_want, jj_want) in zip(targets, want):
+        assert y.tobytes() == y_want.tobytes()
+        assert jj.tobytes() == jj_want.tobytes()
+    # lane 4's windowed sums started at -0 and added zeros
+    assert not targets[1][2][4].any() and not targets[1][3][4].any()
+
+
 def test_stats_peak_allocation_is_the_block_buffers(spec_sinc, theta_sinc):
     # 50 lanes in one 40000-step block with stats and a window: beyond the
     # block buffers (z, which the path overwrites, and one kept psi array for
@@ -655,6 +737,21 @@ def test_stats_peak_allocation_is_the_block_buffers(spec_sinc, theta_sinc):
     tracemalloc.start()
     try:
         run_ensemble(spec_sinc, theta_sinc, steps * 1e-2, 1e-2, 3, lanes,
+                     window=(-2.0, 2.0), block_steps=steps, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffers + (8 << 20)
+
+
+def test_stats_peak_allocation_keeps_no_f1_block(spec_sinc):
+    # two drift terms, theta1 != 0: f1 is evaluated again in the stats pass,
+    # so the block buffers are z and the kept sinc values alone
+    lanes, steps = 50, 40_000
+    buffers = 2 * lanes * steps * 8
+    tracemalloc.start()
+    try:
+        run_ensemble(spec_sinc, ParamVector(0.1, (0.3,)), steps * 1e-2, 1e-2, 3, lanes,
                      window=(-2.0, 2.0), block_steps=steps, threads=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
