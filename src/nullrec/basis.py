@@ -69,17 +69,9 @@ def _sinc_step(x, out, divide=np.divide, multiply=np.multiply, sin=np.sin, pi=_P
     return divide(sin(y), y, out)
 
 
-def _f1_step(x, out, multiply=np.multiply, add=np.add, divide=np.divide, one=_ONE):
-    """principal_f1 for the Euler step: its operations, bit for bit, without
-    its np.asarray.  out is required, and x a float64 array.  The ufuncs are
-    bound as defaults, so a call looks up no global.
-    """
-    return divide(x, add(one, multiply(x, x, out), out), out)
-
-
 # the form of a psi that the Euler step's fast pass calls in its place; a psi
 # that is not here is its own step form
-_STEP_FORMS = {sinc: _sinc_step, principal_f1: _f1_step}
+_STEP_FORMS = {sinc: _sinc_step}
 
 
 def si(x):

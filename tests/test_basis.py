@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from nullrec import make_basis
-from nullrec.basis import _STEP_FORMS, _f1_step, _sinc_step, principal_f1, sinc
+from nullrec.basis import _sinc_step, principal_f1, sinc
 
 
 def test_principal_direction_values():
@@ -81,16 +81,6 @@ def test_sinc_step_nan_exactly_at_zero():
 def test_sinc_step_bit_identical_to_sinc_off_zero(x):
     with np.errstate(invalid="ignore"):
         _assert_sinc_step_matches(x)
-
-
-@hypothesis.given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats()))
-def test_f1_step_bit_identical_to_principal_f1(x):
-    # NaN, +-inf, +-0 and the x*x overflow above 1.3e154 included
-    assert _STEP_FORMS[principal_f1] is _f1_step
-    with np.errstate(all="ignore"):
-        out = np.empty(x.shape)
-        assert _f1_step(x, out) is out
-        assert out.tobytes() == principal_f1(x).tobytes()
 
 
 def test_sinc_limits_against_coarse_quadrature():
