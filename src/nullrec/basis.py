@@ -86,14 +86,10 @@ def reciprocal(x):
     return 1.0 / np.asarray(x, dtype=float)
 
 
-def _f1_sin(x, out=None, *, k):
+def _f1_trig(x, out=None, *, k, trig):
+    """f1(x) * trig(k x), trig np.sin or np.cos; with out, f1 is built in out."""
     x = np.asarray(x, dtype=float)
-    return np.multiply(x / (1.0 + x * x), np.sin(k * x), out=out)
-
-
-def _f1_cos(x, out=None, *, k):
-    x = np.asarray(x, dtype=float)
-    return np.multiply(x / (1.0 + x * x), np.cos(k * x), out=out)
+    return np.multiply(principal_f1(x, out), trig(k * x), out)
 
 
 def _f1_trig_antideriv(x, k):
@@ -166,13 +162,13 @@ def _fourier_basis(ell: int) -> DriftBasis:
     funcs, limits_pos, limits_neg, osc = [], [], [], []
     for k in range(1, ell + 1):
         # slot 2k-1: f1 sin(kx), even function, odd antiderivative
-        funcs.append(functools.partial(_f1_sin, k=k))
+        funcs.append(functools.partial(_f1_trig, k=k, trig=np.sin))
         lim = 0.5 * math.pi * math.exp(-k)
         limits_pos.append(lim)
         limits_neg.append(-lim)
         osc.append(("sin", float(k), principal_f1))
         # slot 2k: f1 cos(kx), odd function, even antiderivative
-        funcs.append(functools.partial(_f1_cos, k=k))
+        funcs.append(functools.partial(_f1_trig, k=k, trig=np.cos))
         lim = float(0.5 * (math.exp(k) * exp1(k) - math.exp(-k) * expi(k)))
         limits_pos.append(lim)
         limits_neg.append(lim)

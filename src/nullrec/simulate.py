@@ -201,13 +201,14 @@ def _default_block(lanes: int) -> int:
     return max(256, min(65536, 2_000_000 // max(lanes, 1)))
 
 
-def _add_stats(psis, x, pb, kept, targets, quiet=()):
+def _add_stats(psis, path, kept, targets, quiet=()):
     """Add one block's left-point sums to raw (y, jj) accumulators.
 
-    pb (L, b) holds the path after each step and x (L,) the state before the
-    block.  kept maps a psi slot to its values at the left points; the other
-    slots are evaluated here, those in quiet with their floating-point errors
-    hidden (the Euler step has shown them for these states).  Each
+    path (L, b+1) holds the state before the block in column 0 and the state
+    after each step in the others, so path[:, :-1] are the left points.  psis
+    take out.  kept maps a psi slot to its values at the left points; the
+    other slots are evaluated here, those in quiet with their floating-point
+    errors hidden (the Euler step has shown them for these states).  Each
     (window, steps, y, jj) of targets gets the sums psi_i dx in y (L, p) and
     psi_i psi_l in jj (L, p, p) over the block's first `steps` steps (steps
     None: all of them), with a window only over steps that start inside it.
@@ -215,48 +216,51 @@ def _add_stats(psis, x, pb, kept, targets, quiet=()):
     symmetric bit for bit.
 
     Lanes go through in chunks of about _STATS_CHUNK elements per array, so
-    that the temporaries stay in cache.  Each product is formed once per
-    chunk and every target sums it: a windowed target after a multiply by the
-    window's 0/1 mask (for m in {0, 1} and a finite a*c, (a*m)*(c*m) and
-    (a*c)*m are the same bits), a checkpoint's over the first `steps` columns.  Each lane still
-    sums along its own row, so which lanes share a chunk cannot change a bit.
+    that the buffers, made once per call, stay in cache.  Each product is
+    formed once per chunk and every target sums it: a windowed target after a
+    multiply by the window's 0/1 mask (for m in {0, 1} and a finite a*c,
+    (a*m)*(c*m) and (a*c)*m are the same bits), a checkpoint's over the first
+    `steps` columns.  Each lane still sums along its own row, so which lanes
+    share a chunk cannot change a bit.
     """
-    lanes, b = pb.shape
+    lanes, b = path.shape[0], path.shape[1] - 1
     p = len(psis)
     rows = max(1, _STATS_CHUNK // b)
-    prod = np.empty((min(rows, lanes), b))
-    masked = np.empty_like(prod)
+    dx, prod, masked = np.empty((3, min(rows, lanes), b))
+    sums = np.empty(min(rows, lanes))
+    bufs = [None if i in kept else np.empty_like(dx) for i in range(p)]
+    masks = [None if w is None else np.empty_like(dx) for w, *_ in targets]
     for lo in range(0, lanes, rows):
         r = slice(lo, lo + rows)
         n = min(rows, lanes - lo)
-        xl = np.empty((n, b))
-        xl[:, 0] = x[r]
-        xl[:, 1:] = pb[r, :-1]
-        dx = pb[r] - xl
+        xl = path[r, :-1]
+        np.subtract(path[r, 1:], xl, out=dx[:n])
         evals = []
         for i, f in enumerate(psis):
-            if i in kept:
-                evals.append(kept[i][r])
-            elif i in quiet:
-                with np.errstate(all="ignore"):
-                    evals.append(f(xl))
-            else:
-                evals.append(f(xl))
-        masks = [None if w is None else ((xl >= w[0]) & (xl <= w[1])).astype(float)
-                 for w, *_ in targets]
-        pr, pr_masked = prod[:n], masked[:n]
+            with np.errstate(all="ignore" if i in quiet else None):
+                evals.append(kept[i][r] if i in kept else f(xl, out=bufs[i][:n]))
+        pr, pr_masked, s = prod[:n], masked[:n], sums[:n]
+        for (w, *_), mask in zip(targets, masks):
+            if mask is not None:  # 1.0 where w[0] <= xl <= w[1], else 0.0
+                np.greater_equal(xl, w[0], out=mask[:n])
+                np.multiply(mask[:n], np.less_equal(xl, w[1], out=pr), out=mask[:n])
         for i in range(p):
             for l in [None, *range(i, p)]:  # None: psi_i dx, else psi_i psi_l
-                np.multiply(evals[i], dx if l is None else evals[l], out=pr)
+                np.multiply(evals[i], dx[:n] if l is None else evals[l], out=pr)
                 for (_, steps, y, jj), mask in zip(targets, masks):
-                    s = pr if mask is None else np.multiply(pr, mask, out=pr_masked)
-                    s = (s if steps is None else s[:, :steps]).sum(axis=1)
+                    t = pr if mask is None else np.multiply(pr, mask[:n], out=pr_masked)
+                    (t if steps is None else t[:, :steps]).sum(axis=1, out=s)
                     if l is None:
                         y[r, i] += s
                     else:
                         jj[r, i, l] += s
                         if l != i:
                             jj[r, l, i] += s
+
+
+def _psis_with_out(spec: ModelSpec) -> tuple:
+    """psi past any call-counting decorator that takes x alone, so out can be given."""
+    return tuple(map(inspect.unwrap, _psi_funcs(spec)))
 
 
 def _scaled_stats(y, jj, sigma: float, dt: float):
@@ -322,7 +326,7 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
     rngs = [lane_rng(seed, lane) for lane in range(lane_lo, lane_hi)]
     sig_sqdt = spec.sigma * math.sqrt(dt)
     terms = _drift_terms(spec, theta)
-    psis = _psi_funcs(spec)
+    psis = _psis_with_out(spec)
     p = len(psis)
 
     x = np.full(lanes, spec.x0, dtype=float)
@@ -337,24 +341,21 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
     if want_cycles:
         mode = [0] * lanes  # 0: await upcross, 1: await downcross
         r_times = [[] for _ in range(lanes)]
-    if store_path:
-        paths = np.empty((lanes, n_steps + 1))
-        paths[:, 0] = x
     checkpoints = {}
-    # block buffers, reused by every block: z holds the scaled noise, which
-    # the state after each step overwrites, and with stats kept[n] the Euler
-    # step's psi values, before each step, of the n-th basis drift term.  f1
-    # costs less to evaluate again in the stats pass than to keep.
+    # each block is one (L, b+1) array: column 0 holds the state before the
+    # block, each other column a step's noise and then the state after it.
+    # It is a view of z, which holds the whole paths when they are stored
+    # and else one block that every block reuses.  With stats, kept[n] holds
+    # the Euler step's psi values, before each step, of the n-th basis drift
+    # term.  f1 costs less to evaluate again in the stats pass than to keep.
     width = min(block_steps, n_steps)
-    z = np.empty((lanes, width))
+    z = np.empty((lanes, (n_steps if store_path else width) + 1))
     kept_slots = [i for i, _ in terms if i > 0] if want_stats else []
     kept = np.empty((len(kept_slots), lanes, width))
     # f1 as a drift term has shown its warnings in the step
     quiet = (0,) if theta.theta1 != 0.0 else ()
     if terms:
-        # the step calls each psi with out; a call-counting decorator (such
-        # as the one bench/tracing.py installs) takes x alone, so step past it
-        term_psis = [inspect.unwrap(psis[i]) for i, _ in terms]
+        term_psis = [psis[i] for i, _ in terms]
         # 0-d array operands and ufunc calls with out by position, as in
         # basis: a Python float costs a scalar conversion, a keyword its
         # parsing, and an in-place operator with a 0-d operand (acc *= dt_arr)
@@ -362,13 +363,13 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
         c_first, *c_rest = [np.array(c) for _, c in terms]
         dt_arr = np.array(dt)
         # tile buffers, step-major, for tiles of up to `tile` steps of a
-        # block: zt[n] takes step n's noise and then the state after it, and
-        # kt[k, n] psi of the k-th kept term at the state before it.  Each
-        # step writes only contiguous rows; a tile is copied from and back to
-        # the lane-major block buffers once.  Together they hold about
-        # _STATS_CHUNK elements.  Each term not kept (all of them without
-        # stats) puts its psi into one vector that every step reuses; those
-        # terms come first in slot order.
+        # block: zt[n] takes step n's noise, scaled as it is copied in, and
+        # then the state after it, and kt[k, n] psi of the k-th kept term at
+        # the state before it.  Each step writes only contiguous rows; a tile
+        # is copied from and back to the lane-major block arrays once.
+        # Together they hold about _STATS_CHUNK elements.  Each term not kept
+        # (all of them without stats) puts its psi into one vector that every
+        # step reuses; those terms come first in slot order.
         tile = min(width, max(1, _STATS_CHUNK // ((1 + len(kept_slots)) * lanes)))
         zt = np.empty((tile, lanes))
         kt = np.empty((len(kept_slots), tile, lanes))
@@ -396,22 +397,24 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
     # into copies of the line sums, which is what a run to it adds last
     for done in range(0, n_steps, block_steps):
         b = min(block_steps, n_steps - done)
-        zb = z[:, :b]
-        for rng, row in zip(rngs, z):
-            rng.standard_normal(out=row[:b])
-        zb *= sig_sqdt
+        blk = z[:, done:done + b + 1] if store_path else z[:, :b + 1]
+        blk[:, 0] = x  # on stored paths, a no-op after the first block
+        zb = blk[:, 1:]
+        for rng, row in zip(rngs, zb):
+            rng.standard_normal(out=row)
         if not terms:
+            zb *= sig_sqdt
             np.cumsum(zb, axis=1, out=zb)
-            zb += x[:, None]
+            zb += blk[:, :1]
         else:
-            cur = x
+            cur = blk[:, 0]
             # the fast pass notes its floating-point errors and shows none;
             # the guarded rerun below runs under the caller's settings, so
             # each warning the caller asks for comes once
             with np.errstate(**fast_err):
                 for lo in range(0, b, tile):
                     t = min(tile, b - lo)
-                    zt[:t] = zb[:, lo:lo + t].T
+                    np.multiply(zb[:, lo:lo + t].T, sig_sqdt, out=zt[:t])
                     flagged.clear()
                     _euler_tile(cur, fast_steps[:t], *step_args)
                     # a NaN, once in a lane, stays to the tile's end.  It
@@ -423,7 +426,7 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
                     # guarded psis, which gives their bits and their
                     # warnings.  zb still holds the tile's noise.
                     if flagged or not np.isfinite(zt[t - 1]).all():
-                        zt[:t] = zb[:, lo:lo + t].T
+                        np.multiply(zb[:, lo:lo + t].T, sig_sqdt, out=zt[:t])
                         with np.errstate(**caller_err):
                             _euler_tile(cur, guarded_steps[:t], *step_args)
                     zb[:, lo:lo + t] = zt[:t].T
@@ -435,7 +438,7 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
         if want_stats:
             inner = [(None, step - done, y.copy(), jj.copy())
                      for step in checkpoint_steps if done < step < done + b]
-            _add_stats(psis, x, zb, {i: kb[:, :b] for i, kb in zip(kept_slots, kept)},
+            _add_stats(psis, blk, {i: kb[:, :b] for i, kb in zip(kept_slots, kept)},
                        targets + inner, quiet)
             for _, cut, y_ck, jj_ck in inner:
                 checkpoints[(done + cut) * dt] = _scaled_stats(y_ck, jj_ck, spec.sigma, dt)
@@ -447,16 +450,14 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
             for i in range(lanes):
                 hits, mode[i] = _scan_crossings(up[i], dn[i], mode[i])
                 r_times[i].extend((done + h + 1) * dt for h in hits)
-        if store_path:
-            paths[:, done + 1:done + b + 1] = zb
-        x = np.array(zb[:, b - 1])
+        x = blk[:, b]
         if not np.isfinite(x).all():
             raise SimulationDivergedError(
                 "simulated state became non-finite; this should not happen "
                 "for parameters in the admissible domain"
             )
 
-    res = EnsembleResult(final_x=x)
+    res = EnsembleResult(final_x=np.array(x))
     if want_stats:
         res.y, res.j = _scaled_stats(y, jj, spec.sigma, dt)
         if window is not None:
@@ -465,7 +466,7 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
     if want_cycles:
         res.r_times = [np.array(r) for r in r_times]
     if store_path:
-        res.paths = paths
+        res.paths = z
     return res
 
 
@@ -572,11 +573,11 @@ def accumulate_stats(spec: ModelSpec, path: DiffusionPath,
     vals = np.asarray(path.values, dtype=float)
     if vals.size < 1:
         raise ValueError("path must contain at least its starting point")
-    psis = _psi_funcs(spec)
+    psis = _psis_with_out(spec)
     y = np.zeros((1, len(psis)))
     j = np.zeros((1, len(psis), len(psis)))
     if vals.size > 1:
-        _add_stats(psis, vals[:1], vals[None, 1:], {}, [(window, None, y, j)])
+        _add_stats(psis, vals[None], {}, [(window, None, y, j)])
     y, j = _scaled_stats(y, j, spec.sigma, path.dt)
     return SufficientStats(y=y[0], j=j[0], t=(vals.size - 1) * path.dt, window=window,
                            x0=float(vals[0]))

@@ -1,4 +1,5 @@
 import collections
+import functools
 import multiprocessing
 import sys
 import threading
@@ -277,9 +278,9 @@ def test_lane_rng_is_philox_keyed_by_seed_and_lane(seed, lane):
 
 
 def test_stats_off_path_equals_stats_on(spec_sinc):
-    # with stats the step writes psi into tile rows that go to the kept block
-    # buffers, without stats into reused vectors; paths, crossings and final
-    # states agree bit for bit
+    # with stats the step writes sinc's psi values into tile rows that go to
+    # the kept block buffer and f1's into a reused vector, without stats both
+    # into reused vectors; paths, crossings and final states agree bit for bit
     th = ParamVector(0.1, (-0.3,))
     kwargs = dict(want_cycles=True, threshold=0.5, store_path=True, block_steps=977)
     on = run_ensemble(spec_sinc, th, 30.0, 1e-2, 43, 3, **kwargs)
@@ -613,6 +614,36 @@ def test_tile_width_does_not_change_results(monkeypatch, basis, theta):
             _assert_same_bits(getattr(tiled, f.name), getattr(default, f.name))
 
 
+@pytest.mark.parametrize("theta", [ParamVector(0.0, (0.3,)), ParamVector(0.1, (0.0,)),
+                                   ParamVector(0.1, (-0.3,))])
+def test_wrapped_psis_change_no_byte(monkeypatch, theta):
+    # principal_f1 and sinc rebound to counting wrappers that take x alone,
+    # as bench/tracing.py does: the Euler step and the stats pass call the
+    # functions beneath them with out, so the wrappers count nothing and
+    # every result keeps its bytes
+    kwargs = dict(window=(-1.0, 1.5), checkpoint_times=(3.21,), want_cycles=True,
+                  threshold=0.5, store_path=True, block_steps=173, threads=1)
+    want = run_ensemble(ModelSpec.from_names(1.0, "sinc"), theta, 10.0, 1e-2, 17, 3, **kwargs)
+    calls = collections.Counter()
+
+    def counting(fn):
+        @functools.wraps(fn)
+        def wrapper(x):
+            calls[fn.__name__] += 1
+            return fn(x)
+        return wrapper
+
+    monkeypatch.setattr("nullrec.basis.sinc", counting(sinc))
+    monkeypatch.setattr("nullrec.model.principal_f1", counting(principal_f1))
+    spec = ModelSpec.from_names(1.0, "sinc")
+    assert [f.__wrapped__ for f in _psi_funcs(spec)] == [principal_f1, sinc]
+    got = run_ensemble(spec, theta, 10.0, 1e-2, 17, 3, **kwargs)
+    assert not calls
+    assert sum(r.size for r in want.r_times) > 0 and want.checkpoints
+    for f in fields(EnsembleResult):
+        _assert_same_bits(getattr(got, f.name), getattr(want, f.name))
+
+
 @pytest.mark.parametrize("name, horizon, dt", [("horizon", np.inf, 0.01),
                                                 ("horizon", np.nan, 0.01),
                                                 ("dt", 1.0, np.nan),
@@ -652,17 +683,15 @@ def test_lane_chunks_do_not_change_results(monkeypatch, basis, theta1, threads):
         assert np.array_equal(got, want)
 
 
-def _stats_one_target(psis, x, pb, kept, window, y, jj):
-    """One target's sums over all of pb, with products of masked psi values."""
-    lanes, b = pb.shape
+def _stats_one_target(psis, path, kept, window, y, jj):
+    """One target's sums over all of path's steps, with products of masked psi values."""
+    lanes, b = path.shape[0], path.shape[1] - 1
     p = len(psis)
     rows = max(1, simulate._STATS_CHUNK // b)
     for lo in range(0, lanes, rows):
         r = slice(lo, lo + rows)
-        xl = np.empty((min(rows, lanes - lo), b))
-        xl[:, 0] = x[r]
-        xl[:, 1:] = pb[r, :-1]
-        dx = pb[r] - xl
+        xl = path[r, :-1].copy()
+        dx = path[r, 1:] - xl
         ev = [kept[i][r] if i in kept else f(xl) for i, f in enumerate(psis)]
         if window is not None:
             mask = (xl >= window[0]) & (xl <= window[1])
@@ -676,12 +705,12 @@ def _stats_one_target(psis, x, pb, kept, window, y, jj):
                     jj[r, l, i] += s
 
 
-def _stats_per_target(psis, x, pb, kept, targets):
+def _stats_per_target(psis, path, kept, targets):
     """The oracle of _add_stats: a pass per target, a checkpoint's over the
     block's prefix."""
     for window, steps, y, jj in targets:
-        cut = pb.shape[1] if steps is None else steps
-        _stats_one_target(psis, x, pb[:, :cut], {i: v[:, :cut] for i, v in kept.items()},
+        cut = path.shape[1] - 1 if steps is None else steps
+        _stats_one_target(psis, path[:, :cut + 1], {i: v[:, :cut] for i, v in kept.items()},
                           window, y, jj)
 
 
@@ -692,21 +721,21 @@ def _stats_per_target(psis, x, pb, kept, targets):
 def test_add_stats_equals_a_pass_per_target(monkeypatch, seed, basis, kept_slots, chunk):
     # the one pass gives the bytes (-0 included) of a pass per target over
     # random paths with exact zeros, lanes wholly outside the window, and
-    # checkpoints at steps 1, 7 and b - 1, into accumulators that hold -0
+    # checkpoints at steps 1, 7 and b - 1, into accumulators that hold -0;
+    # hiding the evaluated slots' floating-point errors changes no byte
     monkeypatch.setattr(simulate, "_STATS_CHUNK", chunk)
     rng = np.random.default_rng(seed)
     psis = _psi_funcs(ModelSpec.from_names(1.0, basis))
     p, lanes, b, window = len(psis), 6, 40, (-1.0, 1.5)
-    x = rng.standard_normal(lanes)
-    x[0] = -0.0
-    pb = x[:, None] + np.cumsum(0.3 * rng.standard_normal((lanes, b)), axis=1)
-    pb[1, ::5] = 0.0
-    pb[2, 3::4] = -0.0
+    path = rng.standard_normal((lanes, b + 1))
+    path[:, 1:] *= 0.3
+    np.cumsum(path, axis=1, out=path)
+    path[0, 0] = -0.0
+    path[1, 1::5] = 0.0
+    path[2, 4::4] = -0.0
     # lane 4 falls from 20 to 12, wholly outside the window
-    x[4] = 20.0
-    pb[4] = 20.0 - 0.2 * np.arange(1, b + 1)
-    xl = np.concatenate([x[:, None], pb[:, :-1]], axis=1)
-    kept = {i: psis[i](xl) for i in kept_slots}
+    path[4] = 20.0 - 0.2 * np.arange(b + 1)
+    kept = {i: psis[i](path[:, :-1]) for i in kept_slots}
 
     def accumulators():
         y, jj = rng.standard_normal((lanes, p)), rng.standard_normal((lanes, p, p))
@@ -718,58 +747,37 @@ def test_add_stats_equals_a_pass_per_target(monkeypatch, seed, basis, kept_slots
     targets = [(None, None, *accumulators()), (window, None, *accumulators())]
     targets += [(w, steps, *accumulators()) for steps in (1, 7, b - 1) for w in (None, window)]
     want = [(w, steps, y.copy(), jj.copy()) for w, steps, y, jj in targets]
-    simulate._add_stats(psis, x, pb, kept, targets)
-    _stats_per_target(psis, x, pb, kept, want)
-    for (*_, y, jj), (*_, y_want, jj_want) in zip(targets, want):
-        assert y.tobytes() == y_want.tobytes()
-        assert jj.tobytes() == jj_want.tobytes()
+    hushed = [(w, steps, y.copy(), jj.copy()) for w, steps, y, jj in targets]
+    simulate._add_stats(psis, path, kept, targets)
+    simulate._add_stats(psis, path, kept, hushed, quiet=tuple(set(range(p)) - set(kept)))
+    _stats_per_target(psis, path, kept, want)
+    for (*_, y, jj), (*_, y_quiet, jj_quiet), (*_, y_want, jj_want) in zip(targets, hushed, want):
+        assert y.tobytes() == y_quiet.tobytes() == y_want.tobytes()
+        assert jj.tobytes() == jj_quiet.tobytes() == jj_want.tobytes()
     # lane 4's windowed sums started at -0 and added zeros
     assert not targets[1][2][4].any() and not targets[1][3][4].any()
 
 
-def test_stats_peak_allocation_is_the_block_buffers(spec_sinc, theta_sinc):
-    # 50 lanes in one 40000-step block with stats and a window: beyond the
-    # block buffers (z, which the path overwrites, and one kept psi array for
-    # the one drift term), the step's tiles and the (y, J) accumulation's
-    # lane-chunk temporaries may only hold about _STATS_CHUNK elements each
+@pytest.mark.parametrize("theta, kwargs, arrays", [
+    pytest.param((0.0, 0.3), dict(window=(-2.0, 2.0)), 2, id="stats"),
+    # theta1 != 0: f1 is evaluated again in the stats pass, not kept
+    pytest.param((0.1, 0.3), dict(window=(-2.0, 2.0)), 2, id="no-f1-block"),
+    # each step's psi values go to (L,) scratch vectors
+    pytest.param((0.1, 0.3), dict(want_stats=False), 1, id="stats-off"),
+    # each block is a view of paths, and no psi is kept
+    pytest.param((0.1, 0.0), dict(window=(-2.0, 2.0), store_path=True), 1, id="store-path"),
+])
+def test_peak_allocation_is_the_block_arrays(spec_sinc, theta, kwargs, arrays):
+    # 50 lanes in one 40000-step block: beyond the block-sized arrays (z,
+    # which the path overwrites, or paths; with stats, one kept psi array per
+    # basis drift term), the step's tiles and the (y, J) pass's buffers may
+    # only hold about _STATS_CHUNK elements each
     lanes, steps = 50, 40_000
-    buffers = 2 * lanes * steps * 8
     tracemalloc.start()
     try:
-        run_ensemble(spec_sinc, theta_sinc, steps * 1e-2, 1e-2, 3, lanes,
-                     window=(-2.0, 2.0), block_steps=steps, threads=1)
+        run_ensemble(spec_sinc, ParamVector(theta[0], theta[1:]), steps * 1e-2, 1e-2, 3,
+                     lanes, block_steps=steps, threads=1, **kwargs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= buffers + (8 << 20)
-
-
-def test_stats_peak_allocation_keeps_no_f1_block(spec_sinc):
-    # two drift terms, theta1 != 0: f1 is evaluated again in the stats pass,
-    # so the block buffers are z and the kept sinc values alone
-    lanes, steps = 50, 40_000
-    buffers = 2 * lanes * steps * 8
-    tracemalloc.start()
-    try:
-        run_ensemble(spec_sinc, ParamVector(0.1, (0.3,)), steps * 1e-2, 1e-2, 3, lanes,
-                     window=(-2.0, 2.0), block_steps=steps, threads=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= buffers + (8 << 20)
-
-
-def test_stats_off_peak_allocation_is_z(spec_sinc):
-    # the same block without stats, two drift terms: each step's psi values
-    # go to (L,) scratch vectors and its state over its noise, so only z is
-    # block-sized
-    lanes, steps = 50, 40_000
-    buffers = lanes * steps * 8
-    tracemalloc.start()
-    try:
-        run_ensemble(spec_sinc, ParamVector(0.1, (0.3,)), steps * 1e-2, 1e-2, 3, lanes,
-                     want_stats=False, block_steps=steps, threads=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= buffers + (8 << 20)
+    assert peak <= arrays * lanes * (steps + 1) * 8 + (8 << 20)
