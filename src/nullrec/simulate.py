@@ -237,8 +237,13 @@ def _add_stats(psis, path, kept, targets, quiet=()):
         np.subtract(path[r, 1:], xl, out=dx[:n])
         evals = []
         for i, f in enumerate(psis):
-            with np.errstate(all="ignore" if i in quiet else None):
-                evals.append(kept[i][r] if i in kept else f(xl, out=bufs[i][:n]))
+            if i in kept:
+                evals.append(kept[i][r])
+            elif i in quiet:
+                with np.errstate(all="ignore"):
+                    evals.append(f(xl, out=bufs[i][:n]))
+            else:
+                evals.append(f(xl, out=bufs[i][:n]))
         pr, pr_masked, s = prod[:n], masked[:n], sums[:n]
         for (w, *_), mask in zip(targets, masks):
             if mask is not None:  # 1.0 where w[0] <= xl <= w[1], else 0.0
@@ -316,24 +321,21 @@ def _euler_tile(cur, steps, c_first, dt_arr, acc, scratch,
 def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
                     want_stats, want_cycles, threshold, checkpoint_steps,
                     store_path, block_steps) -> EnsembleResult:
-    """Simulate lanes [lane_lo, lane_hi) and return their accumulations.
+    """Simulate the lanes [lo, hi) of lane_span and return their accumulations.
 
     Module level so that a partial of it can run in worker processes.  Lane
     indices are global, so results do not depend on how lanes are chunked.
     """
-    lane_lo, lane_hi = lane_span
-    lanes = lane_hi - lane_lo
-    rngs = [lane_rng(seed, lane) for lane in range(lane_lo, lane_hi)]
+    rngs = [lane_rng(seed, lane) for lane in range(*lane_span)]
+    lanes = len(rngs)
     sig_sqdt = spec.sigma * math.sqrt(dt)
     terms = _drift_terms(spec, theta)
     psis = _psis_with_out(spec)
     p = len(psis)
 
-    x = np.full(lanes, spec.x0, dtype=float)
     targets = []  # the (window, steps, y, jj) accumulators of _add_stats
     if want_stats:
-        y = np.zeros((lanes, p))
-        jj = np.zeros((lanes, p, p))
+        y, jj = np.zeros((lanes, p)), np.zeros((lanes, p, p))
         targets.append((None, None, y, jj))
         if window is not None:
             y_win, j_win = np.zeros((lanes, p)), np.zeros((lanes, p, p))
@@ -350,6 +352,8 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
     # term.  f1 costs less to evaluate again in the stats pass than to keep.
     width = min(block_steps, n_steps)
     z = np.empty((lanes, (n_steps if store_path else width) + 1))
+    z[:, 0] = spec.x0
+    x = z[:, 0]  # the state before the next block
     kept_slots = [i for i, _ in terms if i > 0] if want_stats else []
     kept = np.empty((len(kept_slots), lanes, width))
     # f1 as a drift term has shown its warnings in the step
@@ -398,7 +402,7 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
     for done in range(0, n_steps, block_steps):
         b = min(block_steps, n_steps - done)
         blk = z[:, done:done + b + 1] if store_path else z[:, :b + 1]
-        blk[:, 0] = x  # on stored paths, a no-op after the first block
+        blk[:, 0] = x  # a no-op in the first block and on stored paths
         zb = blk[:, 1:]
         for rng, row in zip(rngs, zb):
             rng.standard_normal(out=row)
@@ -457,7 +461,7 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
                 "for parameters in the admissible domain"
             )
 
-    res = EnsembleResult(final_x=np.array(x))
+    res = EnsembleResult(final_x=np.array(x), paths=z if store_path else None)
     if want_stats:
         res.y, res.j = _scaled_stats(y, jj, spec.sigma, dt)
         if window is not None:
@@ -465,8 +469,6 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
         res.checkpoints = checkpoints
     if want_cycles:
         res.r_times = [np.array(r) for r in r_times]
-    if store_path:
-        res.paths = z
     return res
 
 

@@ -36,6 +36,17 @@ def test_zero_horizon_path(spec_sinc, theta_sinc):
     np.testing.assert_array_equal(p.values, [0.0])
 
 
+@pytest.mark.parametrize("theta", [ParamVector(0.0, (0.3,)), ParamVector(0.3, (0.0,)),
+                                   ParamVector(0.0, (0.0,))], ids=["basis", "f1", "driftless"])
+def test_zero_horizon_starts_at_x0(theta):
+    spec = ModelSpec.from_names(1.0, "sinc", x0=1.5)
+    np.testing.assert_array_equal(simulate_path(spec, theta, 0.0, 0.01, 3).values, [1.5])
+    res = run_ensemble(spec, theta, 0.0, 0.01, 3, 4, want_cycles=True, store_path=True)
+    np.testing.assert_array_equal(res.paths, np.full((4, 1), 1.5))
+    np.testing.assert_array_equal(res.final_x, np.full(4, 1.5))
+    np.testing.assert_array_equal(res.y, np.zeros((4, 2)))
+
+
 def test_path_length_and_start(spec_sinc, theta_sinc):
     p = simulate_path(spec_sinc, theta_sinc, 50.0, 1e-2, 11)
     assert len(p.values) == n_steps_for(50.0, 1e-2) + 1 == 5001
