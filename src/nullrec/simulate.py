@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import _STEP_FORMS
-from .errors import SimulationDivergedError
+from .errors import DegenerateWindowError, SimulationDivergedError
 from .model import (ModelSpec, ParamVector, _drift_terms, _psi_funcs, require_valid_theta,
                     scale_inverse)
 
@@ -198,7 +198,20 @@ _STATS_CHUNK = 1 << 15
 
 
 def _default_block(lanes: int) -> int:
-    return max(256, min(65536, 2_000_000 // max(lanes, 1)))
+    # lanes x steps at most 2^18 float64 (2 MiB, about an L2 cache), unless that
+    # means blocks under 1024 steps, where the per-lane Philox call dominates
+    return max(1024, min(65536, (1 << 18) // max(lanes, 1)))
+
+
+def _check_window(window) -> None:
+    """Reject a window with a NaN end or with a >= b; infinite ends are allowed."""
+    if window is None:
+        return
+    a, b = map(float, window)
+    if math.isnan(a) or math.isnan(b):
+        raise ValueError(f"window [{a}, {b}] has a NaN end")
+    if a >= b:
+        raise DegenerateWindowError(f"window [{a}, {b}] has empty interior")
 
 
 def _add_stats(psis, path, kept, targets, quiet=()):
@@ -514,6 +527,13 @@ def run_ensemble(
     A snapshot has the bits of a run to that time with the same block_steps,
     and asking for it leaves every other result bit-identical.
 
+    Steps run in blocks of block_steps.  The blocks also cut each lane's sums
+    of the statistics, so another block_steps can move their last bits.  The
+    default, _default_block(replications), keeps a block array to at most
+    2^18 float64 (2 MiB) unless that means fewer than 1024 steps a block; it
+    depends on replications alone, so results do not depend on threads.
+    window (a, b) may have infinite ends; a NaN end or a >= b is an error.
+
     The replications are split into min(threads, replications) lane chunks
     (threads defaults to n_threads()).  Several chunks run on the worker pool
     of an open _worker_pool scope, or else on a pool opened for this call.
@@ -528,6 +548,7 @@ def run_ensemble(
         raise ValueError("need 0 < dt <= horizon (or horizon == 0)")
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    _check_window(window)
     if checkpoint_times and not want_stats:
         raise ValueError("checkpoint_times needs want_stats=True: a checkpoint is a "
                          "snapshot of the (y, j) statistics")
@@ -575,6 +596,7 @@ def accumulate_stats(spec: ModelSpec, path: DiffusionPath,
     vals = np.asarray(path.values, dtype=float)
     if vals.size < 1:
         raise ValueError("path must contain at least its starting point")
+    _check_window(window)
     psis = _psis_with_out(spec)
     y = np.zeros((1, len(psis)))
     j = np.zeros((1, len(psis), len(psis)))

@@ -5,6 +5,13 @@ human-readable scorecard (run with -s).  The heavy experiments are the canned
 configs of scripts/configs/, run once per session through module-scoped
 fixtures; seeds are fixed so every number below is reproducible, and each
 report's CSV must equal tests/golden/canned_<kind>.csv byte for byte.
+Regenerate those with
+
+    PYTHONPATH=src python scripts/run_experiments.py <kind> ...
+    cp out/<kind>.csv tests/golden/canned_<kind>.csv   # for each kind
+
+A deliberate re-baseline regenerates the files in the same change and shows
+their diff; the CSVs must come out the same at NULLREC_THREADS=1 and 2.
 """
 
 import json

@@ -101,6 +101,17 @@ def test_estimate_windowed_pipeline(tmp_path, capsys):
     assert code == 2 and "window" in err
 
 
+@pytest.mark.parametrize("window", [("2", "-2"), ("nan", "2")])
+def test_simulate_stats_rejects_bad_window(tmp_path, capsys, window):
+    stats_file = tmp_path / "stats.json"
+    code, _, err = run_cli(capsys, "simulate", "--sigma", "1", "--theta1", "0.0",
+                           "--horizon", "1", "--dt", "0.1", "--seed", "5",
+                           "--emit", "stats", "--window", *window,
+                           "--out", str(stats_file))
+    assert code == 2 and "window" in err
+    assert not stats_file.exists()
+
+
 def test_simulate_rejects_bad_theta(capsys):
     code, _, err = run_cli(capsys, "simulate", "--theta1", "0.6", "--sigma", "1",
                            "--horizon", "1", "--dt", "0.1", "--seed", "1")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nullrec import (
+    DegenerateWindowError,
     DiffusionPath,
     ModelSpec,
     ParameterDomainError,
@@ -103,6 +104,20 @@ def test_window_whole_line_bit_identical(spec_sinc, theta_sinc):
     capped = accumulate_stats(spec_sinc, p, window=(-np.inf, np.inf))
     np.testing.assert_array_equal(plain.y, capped.y)
     np.testing.assert_array_equal(plain.j, capped.j)
+
+
+@pytest.mark.parametrize("window, error", [
+    ((2.0, -2.0), DegenerateWindowError),
+    ((1.0, 1.0), DegenerateWindowError),
+    ((np.nan, 2.0), ValueError),
+    ((-2.0, np.nan), ValueError),
+])
+def test_bad_window_rejected(spec_sinc, theta_sinc, window, error):
+    p = simulate_path(spec_sinc, theta_sinc, 1.0, 1e-2, 9)
+    with pytest.raises(error, match="window"):
+        accumulate_stats(spec_sinc, p, window=window)
+    with pytest.raises(error, match="window"):
+        run_ensemble(spec_sinc, theta_sinc, 1.0, 1e-2, 9, 2, window=window)
 
 
 def test_score_examples():
@@ -777,18 +792,26 @@ def test_add_stats_equals_a_pass_per_target(monkeypatch, seed, basis, kept_slots
     pytest.param((0.1, 0.3), dict(want_stats=False), 1, id="stats-off"),
     # each block is a view of paths, and no psi is kept
     pytest.param((0.1, 0.0), dict(window=(-2.0, 2.0), store_path=True), 1, id="store-path"),
+    # blocks of the default width: each block array holds about 2^18 float64
+    pytest.param((0.0, 0.5), dict(block_steps=None), 2, id="default-block"),
 ])
 def test_peak_allocation_is_the_block_arrays(spec_sinc, theta, kwargs, arrays):
-    # 50 lanes in one 40000-step block: beyond the block-sized arrays (z,
-    # which the path overwrites, or paths; with stats, one kept psi array per
-    # basis drift term), the step's tiles and the (y, J) pass's buffers may
-    # only hold about _STATS_CHUNK elements each
+    # 50 lanes, 40000 steps, in one block unless kwargs say otherwise: beyond
+    # the block-sized arrays (z, which the path overwrites, or paths; with
+    # stats, one kept psi array per basis drift term), the step's tiles and
+    # the (y, J) pass's buffers may only hold about _STATS_CHUNK elements each
     lanes, steps = 50, 40_000
+    kwargs = {"block_steps": steps, **kwargs}
+    block = kwargs["block_steps"] or simulate._default_block(lanes)
     tracemalloc.start()
     try:
         run_ensemble(spec_sinc, ParamVector(theta[0], theta[1:]), steps * 1e-2, 1e-2, 3,
-                     lanes, block_steps=steps, threads=1, **kwargs)
+                     lanes, threads=1, **kwargs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= arrays * lanes * (steps + 1) * 8 + (8 << 20)
+    assert peak <= arrays * lanes * (block + 1) * 8 + (8 << 20)
+    if kwargs["block_steps"] is None:
+        assert lanes * block <= 1 << 18
+        # 2000 lanes of 1000 steps (bench identity) still run as one block
+        assert simulate._default_block(2000) >= 1000
