@@ -7,8 +7,9 @@ Usage:
 
 Runs `nullrec experiment --config scripts/configs/<name>.json` per name;
 reports land under out/.  Exits with the largest exit status of the runs.
-The rate and tail runs take a few minutes each; set NULLREC_THREADS to
-parallelize replications.
+With NULLREC_THREADS=2 on a 2-core host, rate takes 21-30 s, risk 36-60 s
+and tail a few minutes (README, Experiments); NULLREC_THREADS sets how many
+worker processes run the replications.
 """
 
 import sys

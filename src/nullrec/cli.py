@@ -23,7 +23,7 @@ from .estimators import log_likelihood_ratio, mle, restricted_mle
 from .harness import ExperimentConfig, ExperimentReport, ks_statistic, run_experiment
 from .limits import LimitLawSpec, make_loss, monte_carlo_risk, rng_stream, sample_limit_error, sample_stable
 from .model import ModelSpec, ParamVector, asymptotic_constants, norming, require_valid_theta
-from .simulate import SufficientStats, accumulate_stats, simulate_path
+from .simulate import SufficientStats, _check_window, accumulate_stats, simulate_path
 
 __all__ = ["parse_config", "dispatch", "emit_report", "main"]
 
@@ -152,6 +152,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec, theta = _model_from(args)
+    _check_window(args.window)  # before the whole path is simulated
     path = simulate_path(spec, theta, args.horizon, args.dt, args.seed)
     if args.emit == "stats":
         stats = accumulate_stats(spec, path, window=args.window)

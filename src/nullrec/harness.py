@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .estimators import (_ratio_bias, _row_dot, log_likelihood_ratio, mle, naive_estimator,
-                         one_step, restricted_mle)
+from .estimators import (EstimateResult, _ratio_bias, _row_dot, log_likelihood_ratio, mle,
+                         naive_estimator, one_step, restricted_mle)
 from .limits import LimitLawSpec, make_loss, monte_carlo_risk, rng_stream, sample_limit_error
 from .model import (
     ModelSpec,
@@ -36,8 +36,8 @@ from .model import (
     scale_inverse,
     theta_in_domain,
 )
-from .simulate import (SufficientStats, _worker_pool, n_steps_for, n_threads, run_ensemble,
-                       score_at)
+from .simulate import (EnsembleResult, SufficientStats, _worker_pool, n_steps_for, n_threads,
+                       run_ensemble, score_at)
 
 __all__ = [
     "ExperimentConfig",
@@ -156,7 +156,9 @@ class ExperimentConfig:
             _check_field(f.name, getattr(self, f.name), hints[f.name])
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        for key, low in (("replications", 1), ("block_steps", 1), ("limit_draws", 1),
+        # risk's standard error of a mean loss needs two replications
+        for key, low in (("replications", 2 if self.kind == "risk" else 1),
+                         ("block_steps", 1), ("limit_draws", 1),
                          ("target_cycles", 1), ("max_waves", 1), ("bound_draws", 2)):
             value = getattr(self, key)
             if value is not None and value < low:
@@ -250,14 +252,36 @@ class ExperimentReport:
         }
 
 
-def _ensemble(config, spec, theta, horizon, ctx, first=0, **kwargs):
-    """run_ensemble of the config's replications on its dt, seed and block size.
+class _Fit(typing.NamedTuple):
+    """One ensemble run, its line statistics and their ML fits.
 
-    Lanes are replications first, first + 1, ... of stream context ctx.
+    restricted fits the windowed statistics; it is None without a window, and
+    stats, mle and restricted are None without statistics (want_stats=False).
     """
-    return run_ensemble(spec, theta, float(horizon), config.dt, config.master_seed,
-                        config.replications, rep_offset=(ctx << 32) + first,
-                        block_steps=config.block_steps, **kwargs)
+
+    res: EnsembleResult
+    stats: Optional[SufficientStats]
+    mle: Optional[EstimateResult]
+    restricted: Optional[EstimateResult]
+
+
+def _fit(config, spec, theta, horizon, ctx, first=0, window=None, **kwargs) -> _Fit:
+    """The config's replications, run on its dt, seed and block size, and fitted.
+
+    Lanes are replications first, first + 1, ... of stream context ctx.  This
+    is the harness's only run_ensemble call, read from the module globals at
+    call time, so that rebinding harness.run_ensemble sees every ensemble.
+    """
+    horizon = float(horizon)
+    res = run_ensemble(spec, theta, horizon, config.dt, config.master_seed,
+                       config.replications, rep_offset=(ctx << 32) + first, window=window,
+                       block_steps=config.block_steps, **kwargs)
+    if res.y is None:
+        return _Fit(res, None, None, None)
+    stats = SufficientStats(y=res.y, j=res.j, t=horizon, x0=spec.x0)
+    restricted = None if window is None else restricted_mle(
+        SufficientStats(y=res.y_win, j=res.j_win, t=horizon, window=window, x0=spec.x0))
+    return _Fit(res, stats, mle(stats), restricted)
 
 
 def _at_once(pieces, main):
@@ -276,14 +300,6 @@ def _at_once(pieces, main):
         futures = [threads.submit(call) for call in pieces]
         done = main()
         return [future.result() for future in futures], done
-
-
-def _ensemble_mle(res, horizon, x0, window=None):
-    """Stacked ML estimates of every replication, restricted when windowed."""
-    if window is None:
-        return mle(SufficientStats(y=res.y, j=res.j, t=float(horizon), x0=x0))
-    return restricted_mle(SufficientStats(y=res.y_win, j=res.j_win, t=float(horizon),
-                                          window=window, x0=x0))
 
 
 # ---------------------------------------------------------------- identity
@@ -338,17 +354,21 @@ def _identity_rows(config: ExperimentConfig, spec, theta) -> list:
     rows = []
     tol = GATES["max_residual"]
     *earlier, last = config.horizons
-    res = _ensemble(config, spec, theta, last, _CTX_IDENTITY, checkpoint_times=earlier)
-    line = {h: res.checkpoints[n_steps_for(h, config.dt) * config.dt] for h in earlier}
-    line[last] = res.y, res.j
-    for horizon, (y, j) in line.items():
+    fit = _fit(config, spec, theta, last, _CTX_IDENTITY, checkpoint_times=earlier)
+    # the earlier horizons are checkpoints of that run, fitted here
+    fits = {}
+    for h in earlier:
+        y, j = fit.res.checkpoints[n_steps_for(h, config.dt) * config.dt]
+        stats = SufficientStats(y=y, j=j, t=float(h), x0=spec.x0)
+        fits[h] = stats, mle(stats)
+    fits[last] = fit.stats, fit.mle
+    for horizon, (stats, est) in fits.items():
         _, delta_n = norming(spec, theta, max(1, int(horizon)))
-        est = mle(SufficientStats(y=y, j=j, t=float(horizon), x0=spec.x0))
         ok = est.j_invertible
         n_sing = int(np.count_nonzero(~ok))
         if n_sing < len(ok):
-            stats = SufficientStats(y=y[ok], j=j[ok], t=float(horizon), x0=spec.x0)
-            max_res = _identity_residuals(stats, est.theta_hat[ok], theta_vec, delta_n)
+            kept = SufficientStats(y=stats.y[ok], j=stats.j[ok], t=stats.t, x0=spec.x0)
+            max_res = _identity_residuals(kept, est.theta_hat[ok], theta_vec, delta_n)
         else:
             max_res = (math.nan,) * len(_IDENTITIES)
         for name, val in zip(_IDENTITIES, max_res):
@@ -361,33 +381,12 @@ def _identity_rows(config: ExperimentConfig, spec, theta) -> list:
 
 # -------------------------------------------------------------------- rate
 
-def _rescaled_errors(config, spec, theta, horizon, hz_index):
-    """(errors, errors_windowed, invertible fraction) at one horizon.
-
-    Either error array is None when no replication gave an invertible J.
-    """
-    res = _ensemble(config, spec, theta, horizon, _CTX_RATE + hz_index,
-                    window=config.window)
-    alpha_n, _ = norming(spec, theta, int(horizon))
-    root = math.sqrt(alpha_n)
-    theta_vec = theta.as_array()
-    est = _ensemble_mle(res, horizon, spec.x0)
-    ok = est.j_invertible
-    errs = (est.theta_hat[ok] - theta_vec) * root if ok.any() else None
-    errs_win = None
-    if config.window is not None:
-        west = _ensemble_mle(res, horizon, spec.x0, config.window)
-        both = ok & west.j_invertible
-        if both.any():
-            errs_win = (west.theta_hat[both] - theta_vec) * root
-    return errs, errs_win, int(np.count_nonzero(ok)) / config.replications
-
-
 def _rate_rows(config: ExperimentConfig, spec, theta) -> list:
     """Rescaled-error stability across horizons and distance to the limit law."""
     if len(config.horizons) < 2:
         raise ValueError("rate experiment needs at least two horizons")
     consts = asymptotic_constants(spec, theta)
+    theta_vec = theta.as_array()
     p = 1 + spec.m
     rows = []
 
@@ -407,13 +406,21 @@ def _rate_rows(config: ExperimentConfig, spec, theta) -> list:
             config.limit_draws)
         return lam, lam_win, draws, lim_win
 
-    errors, (lam, lam_win, (lim, cal_a, cal_b), lim_win) = _at_once(
-        [functools.partial(_rescaled_errors, config, spec, theta, horizon, i)
+    fits, (lam, lam_win, (lim, cal_a, cal_b), lim_win) = _at_once(
+        [functools.partial(_fit, config, spec, theta, horizon, _CTX_RATE + i,
+                           window=config.window)
          for i, horizon in enumerate(config.horizons)],
         limit_draws)
+    # sqrt(alpha_n) (theta_hat - theta) of the replications whose line J is
+    # invertible, and of those whose windowed J is too; None where there are none
     per_horizon = {}
-    for horizon, (errs, errs_win, frac) in zip(config.horizons, errors):
-        per_horizon[horizon] = (errs, errs_win)
+    for horizon, fit in zip(config.horizons, fits):
+        root = math.sqrt(norming(spec, theta, int(horizon))[0])
+        ok = fit.mle.j_invertible
+        both = ok & fit.restricted.j_invertible if fit.restricted else np.zeros_like(ok)
+        per_horizon[horizon] = [(est.theta_hat[m] - theta_vec) * root if m.any() else None
+                                for est, m in ((fit.mle, ok), (fit.restricted, both))]
+        frac = int(np.count_nonzero(ok)) / config.replications
         rows.append(ReportRow(horizon, None, "invertible_fraction", frac,
                               GATES["min_invertible_frac"],
                               frac >= GATES["min_invertible_frac"]))
@@ -459,8 +466,10 @@ def _rate_rows(config: ExperimentConfig, spec, theta) -> list:
                 iqr_w = float(np.subtract(*np.percentile(errs_win[:, coord], [75, 25])))
                 rows.append(ReportRow(horizon, coord, "iqr_mle", iqr, None, None))
                 rows.append(ReportRow(horizon, coord, "iqr_windowed", iqr_w, None, None))
+                # one invertible line fit has no spread to compare against
                 rows.append(ReportRow(horizon, coord, "iqr_ratio_windowed_over_mle",
-                                      iqr_w / iqr, 1.0, bool(iqr_w > iqr)))
+                                      iqr_w / iqr if iqr else math.nan, 1.0,
+                                      bool(iqr and iqr_w > iqr)))
     return rows
 
 
@@ -492,9 +501,9 @@ def _tail_rows(config: ExperimentConfig, spec, theta) -> list:
 
     starts, durs, open_starts = [], [], []
     for wave in range(config.max_waves):
-        res = _ensemble(config, spec, theta, horizon, _CTX_TAIL, wave * config.replications,
-                        want_stats=False, want_cycles=True, threshold=threshold)
-        for r in res.r_times:
+        fit = _fit(config, spec, theta, horizon, _CTX_TAIL, wave * config.replications,
+                   want_stats=False, want_cycles=True, threshold=threshold)
+        for r in fit.res.r_times:
             if r.size >= 1:
                 open_starts.append(r[-1])
             if r.size >= 2:
@@ -570,14 +579,13 @@ def _rlt_rows(config: ExperimentConfig, spec, theta) -> list:
     horizon = float(config.horizons[-1])
     checkpoints = tuple(horizon / 10**k for k in reversed(range(0, 4))
                         if horizon / 10**k >= 10 * config.dt)
-    res = _ensemble(config, spec, theta, horizon, _CTX_RLT,
-                    checkpoint_times=checkpoints)
+    fit = _fit(config, spec, theta, horizon, _CTX_RLT, checkpoint_times=checkpoints)
     rows = []
-    for t_ck in sorted(res.checkpoints):
-        _, j_ck = res.checkpoints[t_ck]
+    for t_ck in sorted(fit.res.checkpoints):
+        _, j_ck = fit.res.checkpoints[t_ck]
         rows.append(ReportRow(t_ck, None, "b_check_lane0",
                               _ratio_bias(j_ck[0], theta.theta2), None, None))
-    terminal_b = np.array([_ratio_bias(j, theta.theta2) for j in res.j])
+    terminal_b = np.array([_ratio_bias(j, theta.theta2) for j in fit.stats.j])
     predicted = _ratio_bias(mu_moment_matrix(spec, theta), theta.theta2)
     med_b = float(np.median(terminal_b))
     rel = GATES["bias_rel"]
@@ -585,10 +593,8 @@ def _rlt_rows(config: ExperimentConfig, spec, theta) -> list:
                           rel, abs(med_b - predicted) <= rel * abs(predicted)))
     rows.append(ReportRow(horizon, None, "b_check_predicted", predicted, None, None))
 
-    est = _ensemble_mle(res, horizon, spec.x0)
-    naive = naive_estimator(SufficientStats(y=res.y, j=res.j, t=horizon))
-    naive_dev = np.abs(naive - theta.theta1)
-    mle_dev = np.abs(est.theta_hat[est.j_invertible, 0] - theta.theta1)
+    naive_dev = np.abs(naive_estimator(fit.stats) - theta.theta1)
+    mle_dev = np.abs(fit.mle.theta_hat[fit.mle.j_invertible, 0] - theta.theta1)
     factor = GATES["naive_vs_mle_factor"]
     med_naive = float(np.median(naive_dev))
     med_mle = float(np.median(mle_dev))
@@ -618,7 +624,7 @@ def _h_grid(p: int) -> list:
 def _risk_rows(config: ExperimentConfig, spec, theta) -> list:
     """Local-shift risk of the ML estimator against the limit-law bound."""
     consts = asymptotic_constants(spec, theta)
-    horizon = config.horizons[-1]
+    horizon = float(config.horizons[-1])
     _, delta_n = norming(spec, theta, int(horizon))
     loss = make_loss("sqclip")
     rows = []
@@ -630,24 +636,15 @@ def _risk_rows(config: ExperimentConfig, spec, theta) -> list:
         return monte_carlo_risk(law, loss, config.bound_draws,
                                 rng_stream(config.master_seed, _CTX_RISK_BOUND))
 
-    def losses_at(h_index, shifted_vec):
-        """The losses of the ML estimates at one shift, and the windowed risk."""
-        res = _ensemble(config, spec, ParamVector.from_array(shifted_vec), horizon,
-                        _CTX_RISK + h_index, window=config.window)
-        est = _ensemble_mle(res, horizon, spec.x0)
-        losses_mle = loss((est.theta_hat - shifted_vec) / delta_n)
-        if config.window is None:
-            return losses_mle, None
-        west = _ensemble_mle(res, horizon, spec.x0, config.window)
-        return losses_mle, float(np.mean(loss((west.theta_hat - shifted_vec) / delta_n)))
-
     theta_vec = theta.as_array()
     shifts = [theta_vec + delta_n * h for h in _h_grid(len(theta_vec))]
     inside = [i for i, v in enumerate(shifts)
               if theta_in_domain(spec, ParamVector.from_array(v))]
-    results, (bound, bound_se) = _at_once(
-        [functools.partial(losses_at, i, shifts[i]) for i in inside], risk_bound)
-    at_h = dict(zip(inside, results))
+    fits, (bound, bound_se) = _at_once(
+        [functools.partial(_fit, config, spec, ParamVector.from_array(shifts[i]), horizon,
+                           _CTX_RISK + i, window=config.window) for i in inside],
+        risk_bound)
+    at_h = dict(zip(inside, fits))
     rows.append(ReportRow(None, None, "risk_bound", bound, None, None))
     rows.append(ReportRow(None, None, "risk_bound_stderr", bound_se, None, None))
 
@@ -655,37 +652,33 @@ def _risk_rows(config: ExperimentConfig, spec, theta) -> list:
     se_at_sup = 0.0
     for h_index in range(len(shifts)):
         if h_index not in at_h:
-            rows.append(ReportRow(float(horizon), h_index, "h_point_dropped",
-                                  1.0, None, None))
+            rows.append(ReportRow(horizon, h_index, "h_point_dropped", 1.0, None, None))
             continue
-        losses_mle, risk_w = at_h[h_index]
+        fit = at_h[h_index]
+        losses_mle = loss((fit.mle.theta_hat - shifts[h_index]) / delta_n)
         risk = float(np.mean(losses_mle))
         se = float(np.std(losses_mle, ddof=1) / math.sqrt(len(losses_mle)))
-        rows.append(ReportRow(float(horizon), h_index, "risk_mle_at_h", risk,
-                              None, None))
+        rows.append(ReportRow(horizon, h_index, "risk_mle_at_h", risk, None, None))
         if risk > sup_mle:
             sup_mle, se_at_sup = risk, se
-        if risk_w is not None:
-            rows.append(ReportRow(float(horizon), h_index, "risk_windowed_at_h",
-                                  risk_w, None, None))
+        if fit.restricted is not None:
+            risk_w = float(np.mean(loss((fit.restricted.theta_hat - shifts[h_index]) / delta_n)))
+            rows.append(ReportRow(horizon, h_index, "risk_windowed_at_h", risk_w, None, None))
             sup_win = max(sup_win, risk_w)
 
     dropped = len(shifts) - len(inside)
-    rows.append(ReportRow(float(horizon), None, "dropped_h_points", float(dropped),
-                          None, None))
-    rows.append(ReportRow(float(horizon), None, "sup_risk_mle", sup_mle, None, None))
+    rows.append(ReportRow(horizon, None, "dropped_h_points", float(dropped), None, None))
+    rows.append(ReportRow(horizon, None, "sup_risk_mle", sup_mle, None, None))
     se_comb = math.sqrt(bound_se**2 + se_at_sup**2)
     z = (sup_mle - bound) / se_comb if se_comb > 0 else math.inf
     n_sigma = GATES["bound_sigma"]
-    rows.append(ReportRow(float(horizon), None, "bound_respected_zscore", z,
-                          -n_sigma, z >= -n_sigma))
-    rows.append(ReportRow(float(horizon), None, "excess_over_bound_rel",
+    rows.append(ReportRow(horizon, None, "bound_respected_zscore", z, -n_sigma, z >= -n_sigma))
+    rows.append(ReportRow(horizon, None, "excess_over_bound_rel",
                           (sup_mle - bound) / bound if bound else math.nan,
                           None, None))
     if config.window is not None and math.isfinite(sup_win):
-        rows.append(ReportRow(float(horizon), None, "sup_risk_windowed", sup_win,
-                              None, None))
-        rows.append(ReportRow(float(horizon), None, "risk_ordering_gap",
+        rows.append(ReportRow(horizon, None, "sup_risk_windowed", sup_win, None, None))
+        rows.append(ReportRow(horizon, None, "risk_ordering_gap",
                               sup_win - sup_mle, 0.0, sup_win >= sup_mle))
     return rows
 

@@ -102,7 +102,12 @@ def test_estimate_windowed_pipeline(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("window", [("2", "-2"), ("nan", "2")])
-def test_simulate_stats_rejects_bad_window(tmp_path, capsys, window):
+def test_simulate_stats_rejects_bad_window(tmp_path, capsys, monkeypatch, window):
+    # the window is checked before any path is simulated
+    def no_path(*args, **kwargs):
+        raise AssertionError("simulate_path called with a bad window")
+
+    monkeypatch.setattr("nullrec.cli.simulate_path", no_path)
     stats_file = tmp_path / "stats.json"
     code, _, err = run_cli(capsys, "simulate", "--sigma", "1", "--theta1", "0.0",
                            "--horizon", "1", "--dt", "0.1", "--seed", "5",
@@ -215,10 +220,11 @@ def test_estimate_stats_rejects_stacked(tmp_path, capsys):
     ({"kind": "tail", "target_cycles": 0}, "target_cycles"),
     ({"kind": "rate", "limit_draws": 0}, "limit_draws"),
     ({"kind": "risk", "bound_draws": 1}, "bound_draws"),
+    ({"kind": "risk", "replications": 1}, "replications"),
 ], ids=["replications", "horizons", "tolerances", "tolerance_key", "block_steps",
         "horizon_below_dt", "not_an_object", "master_seed_negative", "master_seed_too_big",
         "hill_frac_negative", "hill_frac_one", "max_waves", "target_cycles", "limit_draws",
-        "bound_draws"])
+        "bound_draws", "risk_replications"])
 def test_experiment_malformed_config(tmp_path, capsys, data, name):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(data))

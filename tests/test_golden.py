@@ -9,12 +9,14 @@ A deliberate re-baseline regenerates the files in the same change and shows
 their diff.
 """
 
+import inspect
 from pathlib import Path
 
 import pytest
 
-from nullrec import ExperimentConfig, run_experiment
+from nullrec import ExperimentConfig, harness, run_experiment
 from nullrec.cli import emit_report
+from nullrec.simulate import n_steps_for
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,6 +59,43 @@ def _emit(name: str, base: Path) -> Path:
 def test_report_matches_golden(name, tmp_path):
     got = _emit(name, tmp_path).read_bytes()
     assert got == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_every_ensemble_passes_through_run_ensemble(name, monkeypatch):
+    # The benchmark counts lane-steps by rebinding harness.run_ensemble and
+    # binding each call's arguments by name: it must see every ensemble.
+    real = harness.run_ensemble
+    signature = inspect.signature(real)
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_ensemble", recorder)
+    cfg = ExperimentConfig(**CONFIGS[name])
+    report = run_experiment(cfg)
+    last = float(cfg.horizons[-1])
+    if cfg.kind == "rate":
+        horizons = [float(h) for h in cfg.horizons]
+    elif cfg.kind == "tail":
+        # waves of fresh lanes until enough cycles complete or waves run out
+        waves = len(calls)
+        assert 1 <= waves <= cfg.max_waves
+        assert [c["rep_offset"] & 0xFFFFFFFF for c in calls] == [
+            w * cfg.replications for w in range(waves)]
+        assert (waves == cfg.max_waves
+                or report.find("completed_cycles")[0].value >= cfg.target_cycles)
+        horizons = [last] * waves
+    elif cfg.kind == "risk":
+        shifts = 1 + 4 * (1 + len(cfg.theta2))
+        horizons = [last] * (shifts - int(report.find("dropped_h_points")[0].value))
+    else:
+        horizons = [last]
+    assert sorted(c["horizon"] for c in calls) == horizons
+    assert (sum(c["replications"] * n_steps_for(c["horizon"], c["dt"]) for c in calls)
+            == sum(cfg.replications * n_steps_for(h, cfg.dt) for h in horizons))
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullrec import ExperimentConfig, hill_estimator, ks_statistic, run_experiment
+from nullrec import harness
 from nullrec.errors import DegenerateSampleError
 from nullrec.harness import GATES
 
@@ -160,8 +161,6 @@ def test_identity_deterministic():
 def test_identity_runs_one_ensemble_to_its_last_horizon(monkeypatch):
     # 120-step blocks put horizon 2 inside a block and 3.6 at a block end;
     # the rows equal, byte for byte, those of one run per horizon
-    from nullrec import harness
-
     calls = []
     real = harness.run_ensemble
 
@@ -217,6 +216,29 @@ def test_rate_reports_every_horizon():
     assert fracs[1.0] == 0.0 and fracs[50.0] > 0.0
     assert {r.horizon for r in report.find("ks_vs_limit")} == {50.0}
     assert not report.find("ks_cross_horizon")
+
+
+def test_rate_iqr_ratio_without_line_spread_fails():
+    # one replication: the line fits have no spread, so the ratio row is NaN
+    # and fails, where it used to divide by zero
+    cfg = ExperimentConfig(kind="rate", theta2=(0.3,), horizons=(20, 40), replications=1,
+                           window=(-2.0, 2.0), limit_draws=100)
+    rows = run_experiment(cfg).find("iqr_ratio_windowed_over_mle")
+    assert len(rows) == 4
+    assert all(math.isnan(r.value) and r.passed is False for r in rows)
+
+
+def test_rate_leaves_out_iqr_rows_without_windowed_fits():
+    # dt = 1 and a window of width 2e-3 around x0: the two-step line J is
+    # invertible, while the windowed J holds the first step alone
+    cfg = ExperimentConfig(kind="rate", horizons=(2, 50), dt=1.0, replications=20,
+                           window=(-1e-3, 1e-3), limit_draws=100)
+    fit = harness._fit(cfg, cfg.model_spec(), cfg.theta(), 2, harness._CTX_RATE,
+                       window=cfg.window)
+    assert fit.mle.j_invertible.any() and not fit.restricted.j_invertible.any()
+    report = run_experiment(cfg)
+    assert report.find("invertible_fraction", horizon=2.0)[0].value > 0.0
+    assert not [r for r in report.rows if r.horizon == 2.0 and r.stat_name.startswith("iqr_")]
 
 
 def test_rate_requires_two_horizons():
