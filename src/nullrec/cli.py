@@ -129,8 +129,20 @@ def _write_text(text: str, out):
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _finite_or_none(value):
+    """value with each non-finite float in it, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
 def _json_dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """RFC 8259 JSON: a non-finite value is written as null."""
+    return json.dumps(_finite_or_none(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:

@@ -12,6 +12,10 @@ accumulates the sufficient statistics
 with psi = (f1, f_{2,1}, ..., f_{2,m}), optionally windowed by an indicator,
 plus life-cycle crossing records, without retaining paths.  When the drift is
 identically zero the per-step recursion collapses to a cumulative sum.
+Otherwise each block runs through the compiled step of cstep.c, which has
+the bits of the guarded numpy step, as far as it stays free of
+floating-point errors; the numpy step runs the rest, and all of it where the
+compiled step cannot run (see _DriftStep and _c_step_for).
 """
 
 from __future__ import annotations
@@ -22,12 +26,12 @@ import inspect
 import math
 import os
 import threading
+import warnings
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .basis import _STEP_FORMS
 from .errors import DegenerateWindowError, SimulationDivergedError
 from .model import (ModelSpec, ParamVector, _drift_terms, _psi_funcs, require_valid_theta,
                     scale_inverse)
@@ -192,8 +196,9 @@ def _worker_pool(workers: int):
                 pool.shutdown()
 
 
-# elements per array in a lane chunk of _add_stats, and in all the tile
-# buffers of the Euler step together (256 KiB of float64)
+# elements per array in a lane chunk of _add_stats, in all the tile buffers
+# of the numpy Euler step together, and in the noise the compiled step saves
+# over a tile (256 KiB of float64)
 _STATS_CHUNK = 1 << 15
 
 
@@ -331,6 +336,156 @@ def _euler_tile(cur, steps, c_first, dt_arr, acc, scratch,
         cur = zk
 
 
+# the self-check block of the compiled step: one lane from each of these
+# states, over a wide range of magnitudes, for _CHECK_STEPS steps
+_CHECK_X0 = (0.0, -0.0, 1e-150, -3e-9, 0.3, -0.7, 1.5, -2.5, 3.25, -6.5, 12.0, -25.0,
+             50.5, -1e2, 7e2, -4e3, 2.5e4, -1e6, 3e8, -1e12, 1e16, -1e22, 1e50, -1e100)
+_CHECK_STEPS = 48
+
+# cstep's load (key None), then per basis, by the term_kinds of its psis, a
+# maker of its checked cstep.Step; or, in their place, why there is none
+_c_steps = {}
+_c_steps_lock = threading.Lock()
+_fallback_warned = set()  # the reasons the numpy step has run for
+
+
+def _c_step_for(spec: ModelSpec):
+    """A maker of the compiled Euler step for spec's basis, or None.
+
+    At the first call in a process this builds (or finds in the cache) and
+    loads the library; at the first call for a basis it runs the self-check.
+    None means the guarded numpy step runs instead; the first None for each
+    reason issues a RuntimeWarning that names it.
+    """
+    from . import cstep  # here, not at import: a run without drift never needs it
+
+    psis = _psis_with_out(spec)
+    kinds = cstep.term_kinds(psis)
+    with _c_steps_lock:
+        if kinds is None:
+            outcome = f"basis {spec.basis.name!r} is not built in"
+        else:
+            if None not in _c_steps:
+                try:
+                    _c_steps[None] = cstep.load()
+                except (cstep.CompileError, OSError) as exc:
+                    _c_steps[None] = f"no C compiler works ({exc})"
+            if kinds not in _c_steps:
+                fn = _c_steps[None]
+                _c_steps[kinds] = fn if isinstance(fn, str) else _self_check(
+                    functools.partial(cstep.Step, fn, kinds), psis, spec.basis.name)
+            outcome = _c_steps[kinds]
+        if not isinstance(outcome, str):
+            return outcome
+        fresh = outcome not in _fallback_warned
+        _fallback_warned.add(outcome)
+    if fresh:
+        warnings.warn(f"the Euler drift step runs on numpy, not compiled, which is slower: "
+                      f"{outcome}", RuntimeWarning, stacklevel=3)
+    return None
+
+
+def _self_check(make, psis, name):
+    """make if its step gives the guarded numpy step's bits on a fixed block.
+
+    The block runs every psi as a drift term and keeps all but f1; the
+    compiled step must run it whole.  Else returns why the check failed.
+    """
+    lanes, steps = len(_CHECK_X0), _CHECK_STEPS
+    terms = tuple(enumerate([0.1] + [(0.3, -0.2)[nu % 2] for nu in range(len(psis) - 1)]))
+    kept_slots = list(range(1, len(psis)))
+    noise = lane_rng(0, 0).standard_normal((lanes, steps))
+    runs = []
+    for c_step in (make, None):
+        blk = np.empty((lanes, steps + 1))
+        blk[:, 0], blk[:, 1:] = _CHECK_X0, noise
+        kept = np.empty((len(kept_slots), lanes, steps))
+        with np.errstate(all="ignore"):
+            done = _DriftStep(psis, terms, kept, kept_slots, 0.5, 0.25, c_step)(blk, steps)
+        runs.append((done, blk.tobytes(), kept.tobytes()))
+    (c_done, *c_bits), (_, *numpy_bits) = runs
+    if c_done != steps or c_bits != numpy_bits:
+        return f"the compiled step's bits differ from numpy's on basis {name!r}"
+    return make
+
+
+class _DriftStep:
+    """The Euler steps of one drift over each block of a lane chunk.
+
+    A block (L, b+1) holds the state before it in column 0 and each step's
+    noise in the others; a call puts the state after each step in place of
+    its noise, and psi of each kept slot's term at the state before each step
+    into kept (K, L, width), in kept_slots' order.  terms are the drift's
+    (slot, coefficient) pairs over psis, c_step a maker of its compiled step
+    or None.  The compiled step runs the block until a tile raises a
+    floating-point flag or leaves a state non-finite; the guarded numpy step
+    runs the rest, or all of it without a compiled step, under the caller's
+    errstate, so each warning numpy gives is shown once.
+    """
+
+    def __init__(self, psis, terms, kept, kept_slots, sig_sqdt, dt, c_step):
+        self.psis, self.terms, self.kept = psis, terms, kept
+        self.sig_sqdt, self.dt = sig_sqdt, dt
+        lanes, width = kept.shape[1:]
+        # the compiled step saves the noise of a tile, _STATS_CHUNK elements
+        self.c_step = None if c_step is None else c_step(
+            terms, kept, kept_slots, max(1, min(width, _STATS_CHUNK // lanes)))
+
+    def __call__(self, blk, b) -> int:
+        """Run the b steps of blk; return how many of them the compiled step ran."""
+        done = 0 if self.c_step is None else self.c_step(blk, b, self.sig_sqdt, self.dt)
+        if done < b:
+            self._numpy(blk, done, b)
+        return done
+
+    @functools.cached_property
+    def _tiles(self):
+        """The guarded numpy step's tile width, buffers and per-step arguments.
+
+        Tiles are step-major, for up to `tile` steps of a block: zt[n] takes
+        step n's noise, scaled as it is copied in, and then the state after
+        it, and kt[k, n] psi of the k-th kept term at the state before it.
+        Each step writes only contiguous rows; a tile is copied from and back
+        to the lane-major block arrays once.  Together they hold about
+        _STATS_CHUNK elements.  Each term not kept (all of them without
+        stats) puts its psi into one vector that every step reuses; those
+        terms come first in slot order.
+        """
+        terms, kept = self.terms, self.kept
+        lanes, width = kept.shape[1:]
+        tile = min(width, max(1, _STATS_CHUNK // ((1 + len(kept)) * lanes)))
+        zt = np.empty((tile, lanes))
+        kt = np.empty((len(kept), tile, lanes))
+        reused = tuple(np.empty((len(terms) - len(kept), lanes)))
+        # 0-d array operands and ufunc calls with out by position, as in
+        # basis: a Python float costs a scalar conversion, a keyword its
+        # parsing, and an in-place operator with a 0-d operand (acc *= dt_arr)
+        # about twice the call multiply(acc, dt_arr, acc) on 50 lanes
+        c_first, *c_rest = [np.array(c) for _, c in terms]
+        funcs = [self.psis[i] for i, _ in terms]
+        steps = []  # per step of a tile, for _euler_tile
+        for zk, psi in zip(zt, [reused + tuple(kt[:, n]) for n in range(tile)]):
+            steps.append((zk, tuple(zip(funcs, psi)), psi[0], tuple(zip(c_rest, psi[1:]))))
+        step_args = (c_first, np.array(self.dt), np.empty(lanes), np.empty(lanes))
+        return tile, zt, kt, steps, step_args, np.empty(lanes)
+
+    def _numpy(self, blk, start, b):
+        """Steps [start, b) of blk on the guarded numpy path."""
+        tile, zt, kt, steps, step_args, last = self._tiles
+        zb = blk[:, 1:]
+        cur = blk[:, start]
+        for lo in range(start, b, tile):
+            t = min(tile, b - lo)
+            np.multiply(zb[:, lo:lo + t].T, self.sig_sqdt, out=zt[:t])
+            _euler_tile(cur, steps[:t], *step_args)
+            zb[:, lo:lo + t] = zt[:t].T
+            if len(kt):
+                self.kept[:, :, lo:lo + t] = kt[:, :t].transpose(0, 2, 1)
+            # the next tile's noise overwrites zt: keep the last state
+            last[...] = zt[t - 1]
+            cur = last
+
+
 def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
                     want_stats, want_cycles, threshold, checkpoint_steps,
                     store_path, block_steps) -> EnsembleResult:
@@ -372,42 +527,7 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
     # f1 as a drift term has shown its warnings in the step
     quiet = (0,) if theta.theta1 != 0.0 else ()
     if terms:
-        term_psis = [psis[i] for i, _ in terms]
-        # 0-d array operands and ufunc calls with out by position, as in
-        # basis: a Python float costs a scalar conversion, a keyword its
-        # parsing, and an in-place operator with a 0-d operand (acc *= dt_arr)
-        # about twice the call multiply(acc, dt_arr, acc) on 50 lanes
-        c_first, *c_rest = [np.array(c) for _, c in terms]
-        dt_arr = np.array(dt)
-        # tile buffers, step-major, for tiles of up to `tile` steps of a
-        # block: zt[n] takes step n's noise, scaled as it is copied in, and
-        # then the state after it, and kt[k, n] psi of the k-th kept term at
-        # the state before it.  Each step writes only contiguous rows; a tile
-        # is copied from and back to the lane-major block arrays once.
-        # Together they hold about _STATS_CHUNK elements.  Each term not kept
-        # (all of them without stats) puts its psi into one vector that every
-        # step reuses; those terms come first in slot order.
-        tile = min(width, max(1, _STATS_CHUNK // ((1 + len(kept_slots)) * lanes)))
-        zt = np.empty((tile, lanes))
-        kt = np.empty((len(kept_slots), tile, lanes))
-        reused = tuple(np.empty((len(terms) - len(kept_slots), lanes)))
-        psi_at = [reused + tuple(kt[:, n]) for n in range(tile)]
-        def tile_steps(funcs):
-            """Per step of a tile, for _euler_tile: its zt row, the calls of
-            funcs, psi of the first term and the (coefficient, psi) pairs of
-            the later ones."""
-            return [(zk, tuple(zip(funcs, psi)), psi[0], tuple(zip(c_rest, psi[1:])))
-                    for zk, psi in zip(zt, psi_at)]
-
-        # the fast pass calls the step forms of the psis (sinc without its
-        # guard at 0), the guarded pass the psis themselves
-        fast_steps = tile_steps([_STEP_FORMS.get(f, f) for f in term_psis])
-        guarded_steps = tile_steps(term_psis)
-        acc, scratch, last = np.empty(lanes), np.empty(lanes), np.empty(lanes)
-        step_args = (c_first, dt_arr, acc, scratch)
-        caller_err = dict(np.geterr(), call=np.geterrcall())
-        flagged = set()  # the floating-point errors of the fast pass's tile
-        fast_err = dict(all="call", call=lambda err, flag: flagged.add(err))
+        drift = _DriftStep(psis, terms, kept, kept_slots, sig_sqdt, dt, _c_step_for(spec))
 
     # the block grid is fixed by block_steps alone, so checkpoints cannot move
     # the bits of any sum: a checkpoint inside a block adds the block's prefix
@@ -424,34 +544,7 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
             np.cumsum(zb, axis=1, out=zb)
             zb += blk[:, :1]
         else:
-            cur = blk[:, 0]
-            # the fast pass notes its floating-point errors and shows none;
-            # the guarded rerun below runs under the caller's settings, so
-            # each warning the caller asks for comes once
-            with np.errstate(**fast_err):
-                for lo in range(0, b, tile):
-                    t = min(tile, b - lo)
-                    np.multiply(zb[:, lo:lo + t].T, sig_sqdt, out=zt[:t])
-                    flagged.clear()
-                    _euler_tile(cur, fast_steps[:t], *step_args)
-                    # a NaN, once in a lane, stays to the tile's end.  It
-                    # comes from a step form at its unguarded point (x0 = 0
-                    # puts the first tile of a run there) or from a diverging
-                    # path; an error flag with finite states comes from an
-                    # overflow such as x*x in principal_f1 above 1.3e154.
-                    # Either way, rerun the tile from its start with the
-                    # guarded psis, which gives their bits and their
-                    # warnings.  zb still holds the tile's noise.
-                    if flagged or not np.isfinite(zt[t - 1]).all():
-                        np.multiply(zb[:, lo:lo + t].T, sig_sqdt, out=zt[:t])
-                        with np.errstate(**caller_err):
-                            _euler_tile(cur, guarded_steps[:t], *step_args)
-                    zb[:, lo:lo + t] = zt[:t].T
-                    if kept_slots:
-                        kept[:, :, lo:lo + t] = kt[:, :t].transpose(0, 2, 1)
-                    # the next tile's noise overwrites zt: keep the last state
-                    last[...] = zt[t - 1]
-                    cur = last
+            drift(blk, b)
         if want_stats:
             inner = [(None, step - done, y.copy(), jj.copy())
                      for step in checkpoint_steps if done < step < done + b]
@@ -577,6 +670,8 @@ def run_ensemble(
         store_path=store_path, block_steps=block_steps)
     if len(spans) == 1:
         return chunk(spans[0])
+    if _drift_terms(spec, theta):
+        _c_step_for(spec)  # loaded before a pool forks, its workers inherit it
     with _worker_pool(len(spans)) as pool:
         parts = list(pool.map(chunk, spans))
     return _merge(parts)

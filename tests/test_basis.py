@@ -1,14 +1,11 @@
 import warnings
 
-import hypothesis
-import hypothesis.extra.numpy as hnp
-import hypothesis.strategies as st
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
 from nullrec import make_basis
-from nullrec.basis import _sinc_step, principal_f1, sinc
+from nullrec.basis import principal_f1, sinc
 
 
 def test_principal_direction_values():
@@ -55,32 +52,6 @@ def test_funcs_out_bit_identical(name):
                     buf[...] = np.nan
                     assert call() is buf
                     assert buf.tobytes() == want.tobytes()
-
-
-# the x whose y = pi * (x / pi) is 0: x / pi rounds to 0 for |x| < pi * 2^-1075,
-# which leaves +-0 and +-2^-1074 (5e-324)
-_SINC_STEP_ZEROS = (0.0, -0.0, 5e-324, -5e-324)
-
-
-def _assert_sinc_step_matches(x):
-    got = _sinc_step(x, np.empty(x.shape))
-    zero = np.isin(x, _SINC_STEP_ZEROS)
-    assert np.isnan(got[zero]).all()
-    assert not np.isnan(got[~zero]).any()
-    assert got[~zero].tobytes() == sinc(x)[~zero].tobytes()
-
-
-def test_sinc_step_nan_exactly_at_zero():
-    x = np.array(_SINC_STEP_ZEROS + (1e-323, -1e-323, 1e-300, 2.5, -7.0, np.pi, 1e300))
-    with np.errstate(invalid="ignore"):
-        _assert_sinc_step_matches(x)
-
-
-@hypothesis.given(hnp.arrays(np.float64, st.integers(1, 40),
-                             elements=st.floats(allow_nan=False, allow_infinity=False)))
-def test_sinc_step_bit_identical_to_sinc_off_zero(x):
-    with np.errstate(invalid="ignore"):
-        _assert_sinc_step_matches(x)
 
 
 def test_sinc_limits_against_coarse_quadrature():

@@ -250,6 +250,12 @@ def test_experiment_cli_and_exit_codes(tmp_path, capsys):
     cfg_file.write_text(json.dumps(failing))
     code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg_file))
     assert code == 1 and "FAIL: max_residual" in out
+    # the report is strict JSON: NaN values are written as null
+    def no_constant(token):
+        raise ValueError(f"{token} is not JSON")
+    report = json.loads((tmp_path / "rep.json").read_text(), parse_constant=no_constant)
+    residuals = [r["value"] for r in report["rows"] if r["stat_name"].startswith("max_residual")]
+    assert residuals and all(v is None for v in residuals)
 
     # invalid replications from the config is a usage error
     cfg["replications"] = 0

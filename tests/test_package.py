@@ -72,3 +72,16 @@ def test_numpy_only_paths_never_load_scipy():
     # the worker pool's concurrent.futures is imported where a pool opens
     assert loaded["import_concurrent"] == []
     assert "scipy.special" in loaded["moments"]  # the control: a windowed moment matrix needs Si
+
+
+def test_import_builds_no_compiled_step(tmp_path):
+    # the compiled Euler step is built and loaded at the first drift run,
+    # never at import: a fresh import leaves the cache untouched
+    env = dict(os.environ, PYTHONPATH=str(Path(nullrec.__file__).parents[1]),
+               XDG_CACHE_HOME=str(tmp_path))
+    code = ("import sys, nullrec; "
+            "print(len(nullrec.simulate._c_steps), 'subprocess' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["0", "False"]
+    assert list(tmp_path.iterdir()) == []

@@ -1,12 +1,18 @@
 import collections
+import dataclasses
 import functools
 import multiprocessing
+import os
+import shutil
 import sys
 import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
 
+import hypothesis
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -26,10 +32,10 @@ from nullrec import (
     score_at,
     simulate_path,
 )
-from nullrec import simulate
+from nullrec import cstep, make_basis, simulate
 from nullrec.basis import principal_f1, sinc
 from nullrec.model import _psi_funcs
-from nullrec.simulate import EnsembleResult, lane_rng, n_steps_for, n_threads
+from nullrec.simulate import EnsembleResult, _psis_with_out, lane_rng, n_steps_for, n_threads
 
 
 def test_zero_horizon_path(spec_sinc, theta_sinc):
@@ -211,12 +217,12 @@ def test_kernel_step_uses_eval_drift(basis, theta1):
 @pytest.mark.parametrize("x0", [0.0, -0.0, 5e-324])
 @pytest.mark.parametrize("theta1, theta2", [(0.0, 0.5), (0.1, 0.3)])
 def test_kernel_from_sinc_zero_equals_plain_loop(x0, block_steps, theta1, theta2):
-    # sinc's step form gives NaN at these x0, so the first tile of every run
-    # is rerun with the guarded sinc; in 1-step and 7-step blocks (and so
-    # tiles) and in one 300-step block, the paths are a plain Euler loop over
-    # basis.sinc bit for bit, the NaN raises no warning, and (y, J) are those
-    # of the stored paths (bit for bit in one block, which sums in the same
-    # order)
+    # at these x0 y = pi * (x / pi) is 0, where sinc puts eps in its place
+    # (at 5e-324 x / pi underflows, so the compiled step hands its first tile
+    # to the numpy step); in 1-step and 7-step blocks and in one 300-step
+    # block, the paths are a plain Euler loop over basis.sinc bit for bit, no
+    # warning is raised, and (y, J) are those of the stored paths (bit for bit
+    # in one block, which sums in the same order)
     sigma, dt, seed, lanes, steps = 1.0, 1e-2, 29, 3, 300
     spec = ModelSpec.from_names(sigma, "sinc", x0)
     with warnings.catch_warnings():
@@ -245,8 +251,8 @@ def test_kernel_from_sinc_zero_equals_plain_loop(x0, block_steps, theta1, theta2
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_diverging_run_raises():
     # from near the largest float, noise of sigma sqrt(dt) = 1e307 overflows
-    # the state, and sinc of inf is NaN; the guarded rerun of the tile warns
-    # about it as the step always has, and the block's end raises
+    # the state, and sinc of inf is NaN; the numpy step that reruns the tile
+    # warns about it as the step always has, and the block's end raises
     spec = ModelSpec.from_names(1e154, "sinc", 1.7e308)
     with pytest.warns(RuntimeWarning, match="invalid value encountered in sin"):
         with pytest.raises(SimulationDivergedError):
@@ -263,9 +269,9 @@ def _warnings_of(call):
 
 
 def test_diverging_tile_warns_once():
-    # the fast pass shows none of its warnings, and the guarded rerun shows
-    # each once: every step where a lane overflows warns about the add once,
-    # and the next step about sin(inf) once
+    # the compiled step shows no warning, and the numpy step that reruns its
+    # flagged tile shows each once: every step where a lane overflows warns
+    # about the add once, and the next step about sin(inf) once
     spec = ModelSpec.from_names(1e154, "sinc", 1.7e308)
 
     def run():
@@ -280,7 +286,8 @@ def test_diverging_tile_warns_once():
 
 def test_overflow_with_finite_state_warns_once_per_step():
     # above 1.3e154 principal_f1's x*x overflows while f1 and the state stay
-    # finite; the fast pass hides it, and the rerun it sets off warns once a step
+    # finite; the compiled step hands the tile to the numpy step, which warns
+    # once a step
     spec = ModelSpec.from_names(1.0, "none", 1e155)
     steps, lanes = 5, 3
     res, seen = _warnings_of(lambda: run_ensemble(spec, ParamVector(0.1), steps * 1e-2,
@@ -304,9 +311,10 @@ def test_lane_rng_is_philox_keyed_by_seed_and_lane(seed, lane):
 
 
 def test_stats_off_path_equals_stats_on(spec_sinc):
-    # with stats the step writes sinc's psi values into tile rows that go to
-    # the kept block buffer and f1's into a reused vector, without stats both
-    # into reused vectors; paths, crossings and final states agree bit for bit
+    # with stats the step writes sinc's psi values into the kept block buffer
+    # (the numpy step through tile rows) and f1's nowhere (the numpy step into
+    # a reused vector), without stats neither (both into reused vectors);
+    # paths, crossings and final states agree bit for bit
     th = ParamVector(0.1, (-0.3,))
     kwargs = dict(want_cycles=True, threshold=0.5, store_path=True, block_steps=977)
     on = run_ensemble(spec_sinc, th, 30.0, 1e-2, 43, 3, **kwargs)
@@ -618,14 +626,26 @@ def _assert_same_bits(got, want):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _require_c_step(spec):
+    """Skip unless the compiled step runs for spec's basis on this host."""
+    if simulate._c_step_for(spec) is None:
+        pytest.skip("the compiled Euler step does not run on this host")
+
+
+def _numpy_step_only(monkeypatch):
+    monkeypatch.setattr(simulate, "_c_step_for", lambda spec: None)
+
+
 @pytest.mark.parametrize("basis, theta", [("sinc", ParamVector(0.1, (-0.3,))),
                                           ("fourier-2", ParamVector(0.1, THETA2["fourier-2"]))])
 def test_tile_width_does_not_change_results(monkeypatch, basis, theta):
-    # the Euler step runs in tiles of _STATS_CHUNK // (arrays * lanes) steps,
-    # with one tile array for the state and one per nonzero basis term: 1-step
-    # and 7-step tiles (7 does not divide the 977-step blocks) against the
-    # default, one tile per block; the checkpoint at step 1234 falls inside a
-    # 7-step tile and a default one
+    # the compiled step runs in tiles of _STATS_CHUNK // lanes steps, the
+    # numpy step in tiles of _STATS_CHUNK // (arrays * lanes), with one tile
+    # array for the state and one per nonzero basis term: 1-step and 7-step
+    # numpy tiles (7 does not divide the 977-step blocks), and compiled tiles
+    # of 1 * arrays and 7 * arrays steps, against the default, one tile per
+    # block; the checkpoint at step 1234 falls inside a 7-step tile and a
+    # default one
     spec = ModelSpec.from_names(1.0, basis)
     lanes = 3
     arrays = 1 + sum(c != 0.0 for c in theta.theta2)
@@ -633,11 +653,14 @@ def test_tile_width_does_not_change_results(monkeypatch, basis, theta):
                   threshold=0.5, store_path=True, block_steps=977, threads=1)
     default = run_ensemble(spec, theta, 30.0, 1e-2, 41, lanes, **kwargs)
     assert sum(r.size for r in default.r_times) > 0
-    for steps in (1, 7):
-        monkeypatch.setattr(simulate, "_STATS_CHUNK", steps * arrays * lanes)
-        tiled = run_ensemble(spec, theta, 30.0, 1e-2, 41, lanes, **kwargs)
-        for f in fields(EnsembleResult):
-            _assert_same_bits(getattr(tiled, f.name), getattr(default, f.name))
+    for numpy_step in (False, True):
+        if numpy_step:
+            _numpy_step_only(monkeypatch)
+        for steps in (1, 7):
+            monkeypatch.setattr(simulate, "_STATS_CHUNK", steps * arrays * lanes)
+            tiled = run_ensemble(spec, theta, 30.0, 1e-2, 41, lanes, **kwargs)
+            for f in fields(EnsembleResult):
+                _assert_same_bits(getattr(tiled, f.name), getattr(default, f.name))
 
 
 @pytest.mark.parametrize("theta", [ParamVector(0.0, (0.3,)), ParamVector(0.1, (0.0,)),
@@ -668,6 +691,23 @@ def test_wrapped_psis_change_no_byte(monkeypatch, theta):
     assert sum(r.size for r in want.r_times) > 0 and want.checkpoints
     for f in fields(EnsembleResult):
         _assert_same_bits(getattr(got, f.name), getattr(want, f.name))
+
+
+@pytest.mark.parametrize("basis", ["none", "sinc", "fourier-2"])
+def test_psis_wrapped_everywhere_keep_the_compiled_step(monkeypatch, basis):
+    # a tracer rebinds principal_f1 and sinc in every nullrec module, cstep's
+    # names included: the kernel is still chosen from the psis beneath them
+    spec = ModelSpec.from_names(1.0, basis)
+    want = cstep.term_kinds(_psis_with_out(spec))
+    assert want is not None
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nullrec."):
+            for attr, value in list(vars(module).items()):
+                if value is sinc or value is principal_f1:
+                    monkeypatch.setattr(module, attr, functools.wraps(value)(
+                        lambda x, _f=value: _f(x)))
+    assert cstep.sinc is not sinc and cstep.principal_f1 is not principal_f1
+    assert cstep.term_kinds(_psis_with_out(ModelSpec.from_names(1.0, basis))) == want
 
 
 @pytest.mark.parametrize("name, horizon, dt", [("horizon", np.inf, 0.01),
@@ -815,3 +855,181 @@ def test_peak_allocation_is_the_block_arrays(spec_sinc, theta, kwargs, arrays):
         assert lanes * block <= 1 << 18
         # 2000 lanes of 1000 steps (bench identity) still run as one block
         assert simulate._default_block(2000) >= 1000
+
+
+@pytest.mark.parametrize("threads, store_path", [(1, False), (1, True), (2, False)])
+@pytest.mark.parametrize("basis", ["none", "sinc", "fourier-1", "fourier-2"])
+@pytest.mark.parametrize("theta1", [0.0, 0.15])
+def test_c_step_equals_numpy_step(monkeypatch, basis, theta1, threads, store_path):
+    # every field of the compiled step, byte for byte, against the guarded
+    # numpy step, from x0 = 0 (sinc's guarded point): 3000 steps in 977-step
+    # blocks leave a partial last block of 69 steps, whose row stride is not
+    # its width, and the checkpoint at step 1234 falls inside the second block.
+    # 19 lanes make a full group of 8 and a partial one in each of two chunks.
+    spec = ModelSpec.from_names(1.0, basis)
+    theta = ParamVector(theta1, THETA2[basis])
+    _require_c_step(spec)
+    kwargs = dict(window=(-1.0, 1.5), checkpoint_times=(12.34,), want_cycles=True,
+                  threshold=0.5, store_path=store_path, block_steps=977, threads=threads)
+    compiled = run_ensemble(spec, theta, 30.0, 1e-2, 43, 19, **kwargs)
+    _numpy_step_only(monkeypatch)
+    numpy_step = run_ensemble(spec, theta, 30.0, 1e-2, 43, 19, **kwargs)
+    assert sum(r.size for r in numpy_step.r_times) > 0 and numpy_step.checkpoints
+    for f in fields(EnsembleResult):
+        _assert_same_bits(getattr(compiled, f.name), getattr(numpy_step, f.name))
+
+
+def test_flagged_tile_reruns_on_numpy_from_its_start(monkeypatch):
+    # from 1.3e154 with noise of 1e152 a step, lanes pass 1.34e154, where
+    # principal_f1's x*x overflows while the state stays finite.  In 5-step
+    # tiles the compiled step hands the first block back at a later tile, and
+    # the numpy step runs it from that tile on: the same bytes and the same
+    # warnings, once a step, as the numpy step from the start
+    spec = ModelSpec.from_names(1e153, "none", 1.3e154)
+    _require_c_step(spec)
+    monkeypatch.setattr(simulate, "_STATS_CHUNK", 3 * 5)
+    done = []
+    c_call = cstep.Step.__call__
+    monkeypatch.setattr(cstep.Step, "__call__",
+                        lambda self, blk, steps, *args: done.append(
+                            (c_call(self, blk, steps, *args), steps)) or done[-1][0])
+
+    def run():
+        return run_ensemble(spec, ParamVector(0.1), 2.0, 1e-2, 4, 3, block_steps=100,
+                            threads=1)
+
+    compiled, seen = _warnings_of(run)
+    assert done[0] == (25, 100)
+    _numpy_step_only(monkeypatch)
+    numpy_step, numpy_seen = _warnings_of(run)
+    assert seen == numpy_seen and seen["overflow encountered in multiply"] > 0
+    for f in fields(EnsembleResult):
+        _assert_same_bits(getattr(compiled, f.name), getattr(numpy_step, f.name))
+
+
+@hypothesis.given(hnp.arrays(np.float64, st.integers(1, 40),
+                             elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_c_step_sinc_bits_equal_sinc(x):
+    # the psi the compiled step keeps is sinc(x), bit for bit, at the x where
+    # y = pi * (x / pi) is 0 (+-0 and +-5e-324) as well as off them
+    x = np.concatenate([x, [0.0, -0.0, 5e-324, -5e-324]])
+    spec = ModelSpec.from_names(1.0, "sinc")
+    _require_c_step(spec)
+    kept = np.full((1, x.size, 1), np.nan)
+    step = simulate._c_step_for(spec)(((1, 0.5),), kept, [1], 1)
+    blk = np.zeros((x.size, 2))
+    blk[:, 0] = x
+    step(blk, 1, 1.0, 1e-2)
+    assert kept[0, :, 0].tobytes() == sinc(x).tobytes()
+
+
+def test_c_step_rejects_buffers_that_do_not_fit():
+    # each misfit is caught before a pointer reaches the C code
+    spec = ModelSpec.from_names(1.0, "sinc")
+    _require_c_step(spec)
+    make = simulate._c_step_for(spec)
+    terms, lanes, steps = ((0, 0.1), (1, 0.3)), 4, 10
+    for kept, tile in ((np.empty((2, lanes, steps)), steps), (np.empty((1, lanes, steps)), 0),
+                       (np.empty((1, lanes, 2 * steps))[:, :, ::2], steps),
+                       (np.empty((1, lanes, steps), dtype=np.float32), steps)):
+        with pytest.raises(ValueError):
+            make(terms, kept, [1], tile)
+    step = make(terms, np.empty((1, lanes, steps)), [1], steps)
+    for blk in (np.zeros((lanes, steps)), np.zeros((lanes + 1, steps + 1)),
+                np.zeros((lanes, 2 * steps + 2))[:, ::2],
+                np.zeros((lanes, steps + 1), dtype=np.float32)):
+        with pytest.raises(ValueError):
+            step(blk, steps, 1.0, 1e-2)
+    assert step(np.zeros((lanes, steps + 1)), steps, 1.0, 1e-2) == steps
+
+
+def _no_compiler(monkeypatch, tmp_path):
+    monkeypatch.setattr(cstep, "CC", str(tmp_path / "no-cc"))
+    return ModelSpec.from_names(1.0, "sinc")
+
+
+def _kinds_not_of_the_psis(monkeypatch, tmp_path):
+    # the library steps f1 for every psi, which the self-check must catch
+    monkeypatch.setattr(cstep, "term_kinds", lambda psis: ((0, 0.0),) * len(psis))
+    return ModelSpec.from_names(1.0, "sinc")
+
+
+def _basis_not_built_in(monkeypatch, tmp_path):
+    # sinc under a partial: the same bits, but not a psi cstep knows
+    return ModelSpec(1.0, dataclasses.replace(make_basis("sinc"), name="sinc-copy",
+                                              funcs=(functools.partial(sinc),)))
+
+
+@pytest.mark.parametrize("force, reason", [
+    (_no_compiler, "no C compiler works"),
+    (_kinds_not_of_the_psis, "bits differ from numpy's on basis 'sinc'"),
+    (_basis_not_built_in, "basis 'sinc-copy' is not built in"),
+])
+def test_fallback_warns_once_and_keeps_the_bytes(monkeypatch, tmp_path, force, reason):
+    # force(...) returns the spec to run after it forces the numpy step on a
+    # process that has loaded no compiled step and warned of no fallback, with
+    # an empty cache: the reason is warned of once, and the numpy step gives
+    # the compiled step's bytes
+    theta = ParamVector(0.1, (-0.3,))
+    kwargs = dict(window=(-1.0, 1.5), checkpoint_times=(3.21,), store_path=True,
+                  block_steps=173, threads=1)
+    sinc_spec = ModelSpec.from_names(1.0, "sinc")
+    _require_c_step(sinc_spec)
+    want = run_ensemble(sinc_spec, theta, 10.0, 1e-2, 17, 3, **kwargs)
+    monkeypatch.setattr(simulate, "_c_steps", {})
+    monkeypatch.setattr(simulate, "_fallback_warned", set())
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    spec = force(monkeypatch, tmp_path)
+    runs, seen = _warnings_of(
+        lambda: [run_ensemble(spec, theta, 10.0, 1e-2, 17, 3, **kwargs) for _ in range(2)])
+    assert list(seen.values()) == [1]
+    assert reason in next(iter(seen)) and "runs on numpy" in next(iter(seen))
+    for got in runs:
+        for f in fields(EnsembleResult):
+            _assert_same_bits(getattr(got, f.name), getattr(want, f.name))
+
+
+def test_concurrent_builds_leave_one_library(monkeypatch, tmp_path):
+    # four threads, more than the cores, build into one empty cache at once:
+    # each loads a library that passes the self-check, and no temporary file
+    # is left behind
+    if shutil.which(cstep.CC) is None:
+        pytest.skip(f"no {cstep.CC} on this host")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    start = threading.Barrier(4, timeout=60)
+    loaded = []
+
+    def build():
+        start.wait()
+        loaded.append(cstep.load())
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(loaded) == 4
+    (name,) = os.listdir(tmp_path / "nullrec")
+    assert name.startswith("cstep-") and name.endswith(".so")
+    psis = _psi_funcs(ModelSpec.from_names(1.0, "fourier-1"))
+    for fn in loaded:
+        make = functools.partial(cstep.Step, fn, cstep.term_kinds(psis))
+        assert simulate._self_check(make, psis, "fourier-1") is make
+
+
+def test_unwritable_cache_builds_in_a_private_directory(monkeypatch, tmp_path):
+    # a cache path under a file cannot be made, even by root
+    if shutil.which(cstep.CC) is None:
+        pytest.skip(f"no {cstep.CC} on this host")
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    monkeypatch.setattr(cstep, "_private", [])
+    cstep.load()
+    (private,) = cstep._private
+    assert [n.endswith(".so") for n in os.listdir(private.name)] == [True]
