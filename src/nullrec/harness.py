@@ -181,12 +181,18 @@ class ExperimentConfig:
             if self.kind in ("rate", "risk") and not w[0] < self.x0 < w[1]:
                 raise ValueError(f"config key 'window' must contain x0 = {self.x0} "
                                  f"in its interior, got {w}")
+            # rate's windowed moment matrix integrates over the window
+            if self.kind == "rate" and not all(map(math.isfinite, w)):
+                raise ValueError(f"config key 'window' must have finite ends for rate, got {w}")
             object.__setattr__(self, "window", w)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if hz[0] < self.dt:
             raise ValueError(f"config key 'horizons' must be >= dt = {self.dt}, "
                              f"got {hz[0]}")
+        # rate and risk norm by n = int(horizon), which must be >= 1
+        if self.kind in ("rate", "risk") and hz[0] < 1:
+            raise ValueError(f"config key 'horizons' must be >= 1 for {self.kind}, got {hz[0]}")
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec.from_names(self.sigma, self.basis, self.x0)
@@ -288,13 +294,16 @@ def _fit(config, spec, theta, horizon, ctx, first=0, window=None, **kwargs) -> _
 def _at_once(pieces, main):
     """(results of pieces, result of main): independent calls run together.
 
-    pieces is a list of calls.  With one worker (n_threads() == 1) they run
-    in order in this thread, and then main.  Otherwise each piece runs in a
-    thread of its own, while this thread runs main.  The pieces' results
-    come back in their given order, whichever finished first.
+    pieces is a list of calls.  With one worker (n_threads() == 1) main runs
+    first in this thread, and then the pieces in order, so an error of main
+    shows before any piece has run.  Otherwise each piece runs in a thread of
+    its own, while this thread runs main; an error of main then shows only
+    after the pieces, which are already running, have finished.  The pieces'
+    results come back in their given order, whichever finished first.
     """
     if n_threads() == 1:
-        return [call() for call in pieces], main()
+        done = main()
+        return [call() for call in pieces], done
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=max(1, len(pieces))) as threads:

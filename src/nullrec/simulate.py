@@ -530,8 +530,8 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
         drift = _DriftStep(psis, terms, kept, kept_slots, sig_sqdt, dt, _c_step_for(spec))
 
     # the block grid is fixed by block_steps alone, so checkpoints cannot move
-    # the bits of any sum: a checkpoint inside a block adds the block's prefix
-    # into copies of the line sums, which is what a run to it adds last
+    # the bits of any sum: a checkpoint k <= b steps into a block adds the first
+    # k into copies of the line sums, which is what a run to it adds last
     for done in range(0, n_steps, block_steps):
         b = min(block_steps, n_steps - done)
         blk = z[:, done:done + b + 1] if store_path else z[:, :b + 1]
@@ -546,14 +546,12 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
         else:
             drift(blk, b)
         if want_stats:
-            inner = [(None, step - done, y.copy(), jj.copy())
-                     for step in checkpoint_steps if done < step < done + b]
+            snaps = [(None, step - done, y.copy(), jj.copy())
+                     for step in checkpoint_steps if done < step <= done + b]
             _add_stats(psis, blk, {i: kb[:, :b] for i, kb in zip(kept_slots, kept)},
-                       targets + inner, quiet)
-            for _, cut, y_ck, jj_ck in inner:
+                       targets + snaps, quiet)
+            for _, cut, y_ck, jj_ck in snaps:
                 checkpoints[(done + cut) * dt] = _scaled_stats(y_ck, jj_ck, spec.sigma, dt)
-            if done + b in checkpoint_steps:
-                checkpoints[(done + b) * dt] = _scaled_stats(y, jj, spec.sigma, dt)
         if want_cycles:
             up = zb > threshold
             dn = zb < 0.0

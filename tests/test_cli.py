@@ -221,10 +221,17 @@ def test_estimate_stats_rejects_stacked(tmp_path, capsys):
     ({"kind": "rate", "limit_draws": 0}, "limit_draws"),
     ({"kind": "risk", "bound_draws": 1}, "bound_draws"),
     ({"kind": "risk", "replications": 1}, "replications"),
+    ({"kind": "rate", "horizons": [0.5, 0.9], "replications": 20, "limit_draws": 50},
+     "horizons"),
+    ({"kind": "risk", "horizons": [0.5], "replications": 2}, "horizons"),
+    # quoted: the moment matrix's own late error names the window without quotes
+    ({"kind": "rate", "window": [-math.inf, 2.0], "horizons": [1, 2], "replications": 20,
+      "limit_draws": 50}, "'window'"),
 ], ids=["replications", "horizons", "tolerances", "tolerance_key", "block_steps",
         "horizon_below_dt", "not_an_object", "master_seed_negative", "master_seed_too_big",
         "hill_frac_negative", "hill_frac_one", "max_waves", "target_cycles", "limit_draws",
-        "bound_draws", "risk_replications"])
+        "bound_draws", "risk_replications", "rate_horizon_below_one",
+        "risk_horizon_below_one", "rate_window_infinite_end"])
 def test_experiment_malformed_config(tmp_path, capsys, data, name):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(data))

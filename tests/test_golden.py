@@ -20,8 +20,9 @@ from nullrec.simulate import n_steps_for
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# the smoke sizes of test_harness.py, plus a rate run with gated replications
-# and an rlt run on the fourier basis (whole-line moments through its F)
+# the smoke sizes of test_harness.py, plus a rate run with gated replications,
+# a tail run that reaches its quantile and an rlt run on the fourier basis
+# (whole-line moments through its F)
 CONFIGS = {
     "identity": dict(kind="identity", theta1=0.1, theta2=(-0.3,), horizons=(20,),
                      dt=1e-2, replications=10, master_seed=5),
@@ -39,6 +40,11 @@ CONFIGS = {
     "tail": dict(kind="tail", theta1=0.0, theta2=(0.0,), horizons=(400,),
                  dt=1e-2, replications=8, master_seed=11, target_cycles=40,
                  max_waves=4),
+    # enough cycles in one wave to read the quantile: the tail_quantile_t,
+    # tail_constant and tail_constant_theory rows
+    "tail_quantile": dict(kind="tail", theta1=0.0, theta2=(0.0,), horizons=(100000,),
+                          dt=0.1, replications=16, target_cycles=500, max_waves=1,
+                          master_seed=3),
     "rlt": dict(kind="rlt", theta1=0.0, theta2=(0.5,), horizons=(200,), dt=1e-2,
                 replications=6, master_seed=13),
     "rlt_fourier": dict(kind="rlt", basis="fourier-1", theta1=0.0, theta2=(0.3, 0.2),

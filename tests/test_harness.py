@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nullrec import ExperimentConfig, hill_estimator, ks_statistic, run_experiment
 from nullrec import harness
-from nullrec.errors import DegenerateSampleError
+from nullrec.errors import DegenerateSampleError, QuadratureError
 from nullrec.harness import GATES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -107,6 +107,12 @@ def test_config_rejects_window_without_x0(kind, window):
     with pytest.raises(ValueError, match="'window'"):
         ExperimentConfig.from_dict({"kind": kind, "window": window})
     ExperimentConfig.from_dict({"kind": kind, "window": window, "x0": sum(window) / 2})
+
+
+def test_config_keeps_what_only_rate_or_risk_rejects():
+    # identity norms by max(1, int(horizon)); risk builds no windowed moment matrix
+    ExperimentConfig.from_dict({"kind": "identity", "horizons": [0.5]})
+    ExperimentConfig.from_dict({"kind": "risk", "window": [-math.inf, 2.0]})
 
 
 def test_canned_configs_load():
@@ -334,3 +340,20 @@ def test_rows_do_not_depend_on_workers(monkeypatch, kind):
         assert multiprocessing.active_children() == []
         rows[workers] = [repr(dataclasses.astuple(r)) for r in report.rows]
     assert rows["1"] == rows["2"]
+
+
+@pytest.mark.parametrize("kind, matrix", [("rate", "mu_moment_matrix"),
+                                          ("risk", "information_scale_matrix")])
+def test_moment_matrix_error_comes_before_any_ensemble(monkeypatch, kind, matrix):
+    # at one worker the moment matrix is computed first, so its error stops
+    # the experiment before a single ensemble has run
+    def fails(*args, **kwargs):
+        raise QuadratureError("moment matrix error estimate exceeds its bound")
+
+    calls = []
+    monkeypatch.setenv("NULLREC_THREADS", "1")
+    monkeypatch.setattr(harness, matrix, fails)
+    monkeypatch.setattr(harness, "run_ensemble", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(QuadratureError):
+        run_experiment(ExperimentConfig(kind=kind, horizons=(20, 40), replications=12))
+    assert calls == []

@@ -463,8 +463,9 @@ def test_checkpoint_j_symmetric(spec_sinc):
 
 # 173-step blocks end at steps 173, 346, ..., 865 and leave a partial last
 # block of 135 steps; the checkpoints fall inside the first block, at a block
-# end, in the middle of a block and inside the partial last block
-_CK_STEPS = (50, 346, 432, 950)
+# end, in the middle of a block, inside the partial last block and at the
+# run's end, the last step of the partial block
+_CK_STEPS = (50, 346, 432, 950, 1000)
 _CK_CASES = [("sinc", 0.0), ("sinc", 0.1), ("fourier-1", 0.0), ("none", 0.0)]
 
 
