@@ -198,9 +198,12 @@ def _load_stats(path: str) -> SufficientStats:
         window = tuple(data["window"]) if data.get("window") else None
         if np.ndim(data["y"]) != 1:
             raise UsageError(f"--stats {path}: 'y' must be one flat list of numbers")
-        return SufficientStats(y=np.asarray(data["y"], dtype=float),
-                               j=np.asarray(data["j"], dtype=float),
-                               t=float(data["t"]), window=window,
+        y, j = (np.asarray(data[key], dtype=float) for key in ("y", "j"))
+        for key, values in (("y", y), ("j", j)):
+            # null, NaN and Infinity all read as non-finite floats
+            if not np.isfinite(values).all():
+                raise UsageError(f"--stats {path}: {key!r} must hold finite numbers only")
+        return SufficientStats(y=y, j=j, t=float(data["t"]), window=window,
                                x0=float(data.get("x0", 0.0)))
     except (KeyError, TypeError) as exc:
         raise UsageError(f"--stats {path} is malformed: {exc!r}") from exc
@@ -236,8 +239,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_limits(args: argparse.Namespace) -> int:
     if args.cov is not None:
-        cov = np.asarray(json.loads(Path(args.cov).read_text(encoding="utf-8")),
-                         dtype=float)
+        data = json.loads(Path(args.cov).read_text(encoding="utf-8"))
+        try:
+            cov = np.atleast_2d(np.asarray(data, dtype=float))
+        except (TypeError, ValueError):  # a JSON object, string or ragged list
+            cov = None
+        if cov is None or cov.ndim != 2 or not np.isfinite(cov).all():
+            raise UsageError(f"--cov {args.cov} must hold a matrix of finite numbers")
     else:
         cov = np.eye(args.dim or 1)
     if args.dim is not None and cov.shape[0] != args.dim:

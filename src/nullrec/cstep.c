@@ -1,16 +1,16 @@
 /* The Euler drift step of nullrec, a block at a time, with numpy's bits.
  *
- * Each step does the operations of the guarded numpy step (simulate._euler_tile
- * over the basis psis), one lane at a time and in the same order, so with
- * -ffp-contract=off and a libm whose sin and cos are numpy's it gives the
- * same bits:
+ * Each step does the operations of the guarded numpy step
+ * (simulate._DriftStep._numpy over the basis psis), one lane at a time and in
+ * the same order, so with -ffp-contract=off and a libm whose sin and cos are
+ * numpy's it gives the same bits:
  *
  *   f1     d = 1 + x*x, then x / d
  *   sinc   y = pi * (x / pi), DBL_EPSILON where y is 0, then sin(y) / y
  *   f1sin  f1 * sin(k*x);  f1cos  f1 * cos(k*x)
  *
- * then the drift sum c_0*psi_0, + c_1*psi_1, ..., times dt, plus x, and last
- * the scaled noise z*sigma*sqrt(dt) plus that.
+ * then the drift sum of model._drift_sum, c_0*psi_0, + c_1*psi_1, ..., times
+ * dt, plus x, and last the scaled noise z*sigma*sqrt(dt) plus that.
  *
  * Lanes advance GROUP at a time, step by step, so that the CPU overlaps their
  * sin and division chains.  Steps run in tiles: before a tile the noise it

@@ -170,6 +170,10 @@ class ExperimentConfig:
         if self.hill_frac is not None and not 0.0 < self.hill_frac < 1.0:
             raise ValueError(f"config key 'hill_frac' must lie in (0, 1), got {self.hill_frac}")
         hz = tuple(self.horizons)
+        # json reads Infinity and NaN, which no comparison below rejects
+        for key, values in (("dt", (self.dt,)), ("horizons", hz)):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"config key {key!r} must be finite, got {getattr(self, key)}")
         if not hz or any(b <= a for a, b in zip(hz, hz[1:])):
             raise ValueError("horizons must be nonempty and increasing")
         object.__setattr__(self, "horizons", hz)

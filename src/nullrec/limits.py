@@ -103,7 +103,12 @@ def sample_limit_error(law: LimitLawSpec, rng: np.random.Generator, size: int):
 
 
 def make_loss(name: str, clip: float = 4.0):
-    """Bounded subconvex losses on squared length: min(|x|^2, clip) or 1-exp(-|x|^2)."""
+    """Bounded subconvex losses on squared length: min(|x|^2, clip) or 1-exp(-|x|^2).
+
+    clip must be finite and positive, whichever the loss.
+    """
+    if not (math.isfinite(clip) and clip > 0):
+        raise ValueError(f"clip must be finite and positive, got {clip}")
     if name == "sqclip":
         def loss(x):
             x = np.atleast_2d(np.asarray(x, dtype=float))

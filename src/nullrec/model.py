@@ -166,16 +166,17 @@ def _drift_terms(spec: ModelSpec, theta: ParamVector) -> tuple:
     return tuple((i, c) for i, c in enumerate((theta.theta1,) + theta.theta2) if c != 0.0)
 
 
-def _drift_sum(terms, values, out=None):
+def _drift_sum(terms, values):
     """b(x) = sum_n c_n * values[n] over nonempty terms, values[n] = psi_{slot_n}(x).
 
-    With out (not overlapping values) the sum is written there and returned.
+    The one drift sum: eval_drift, the numpy Euler step and cstep.c all add
+    the terms in this order.
     """
     pairs = zip(terms, values)
     (_, c), v = next(pairs)
-    total = np.multiply(c, v, out=out)
+    total = c * v
     for (_, c), v in pairs:
-        total = np.add(total, c * v, out=out)
+        total = total + c * v
     return total
 
 

@@ -33,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateWindowError, SimulationDivergedError
-from .model import (ModelSpec, ParamVector, _drift_terms, _psi_funcs, require_valid_theta,
-                    scale_inverse)
+from .model import (ModelSpec, ParamVector, _drift_sum, _drift_terms, _psi_funcs,
+                    require_valid_theta, scale_inverse)
 
 __all__ = [
     "DiffusionPath",
@@ -196,9 +196,8 @@ def _worker_pool(workers: int):
                 pool.shutdown()
 
 
-# elements per array in a lane chunk of _add_stats, in all the tile buffers
-# of the numpy Euler step together, and in the noise the compiled step saves
-# over a tile (256 KiB of float64)
+# elements per array in a lane chunk of _add_stats, and in the noise the
+# compiled Euler step saves over a tile (256 KiB of float64)
 _STATS_CHUNK = 1 << 15
 
 
@@ -313,29 +312,6 @@ def _scan_crossings(up, dn, mode):
     return hits, mode
 
 
-def _euler_tile(cur, steps, c_first, dt_arr, acc, scratch,
-                multiply=np.multiply, add=np.add):
-    """Euler steps from the state cur; steps[n] is (zk, calls, psi_first, later).
-
-    zk holds step n's scaled noise and gets the state after the step.  calls
-    are the (psi, out) pairs that put psi of each drift term at the state
-    before the step into its out; psi_first is the first term's out, and
-    later the (coefficient, out) pairs of the others.
-    """
-    for zk, calls, psi_first, later in steps:
-        for f, v in calls:
-            f(cur, v)
-        # b(x_k) summed in model._drift_sum's order
-        multiply(c_first, psi_first, acc)
-        for c, v in later:
-            add(acc, multiply(c, v, scratch), acc)
-        # z_k + (b(x_k) dt + x_k) has the bits of x_k + b(x_k) dt + z_k
-        multiply(acc, dt_arr, acc)
-        add(acc, cur, acc)
-        add(zk, acc, zk)
-        cur = zk
-
-
 # the self-check block of the compiled step: one lane from each of these
 # states, over a wide range of magnitudes, for _CHECK_STEPS steps
 _CHECK_X0 = (0.0, -0.0, 1e-150, -3e-9, 0.3, -0.7, 1.5, -2.5, 3.25, -6.5, 12.0, -25.0,
@@ -426,6 +402,9 @@ class _DriftStep:
     def __init__(self, psis, terms, kept, kept_slots, sig_sqdt, dt, c_step):
         self.psis, self.terms, self.kept = psis, terms, kept
         self.sig_sqdt, self.dt = sig_sqdt, dt
+        # (index in kept, index in terms) of each kept term
+        self.kept_terms = [(kept_slots.index(i), t) for t, (i, _) in enumerate(terms)
+                           if i in kept_slots]
         lanes, width = kept.shape[1:]
         # the compiled step saves the noise of a tile, _STATS_CHUNK elements
         self.c_step = None if c_step is None else c_step(
@@ -438,52 +417,17 @@ class _DriftStep:
             self._numpy(blk, done, b)
         return done
 
-    @functools.cached_property
-    def _tiles(self):
-        """The guarded numpy step's tile width, buffers and per-step arguments.
-
-        Tiles are step-major, for up to `tile` steps of a block: zt[n] takes
-        step n's noise, scaled as it is copied in, and then the state after
-        it, and kt[k, n] psi of the k-th kept term at the state before it.
-        Each step writes only contiguous rows; a tile is copied from and back
-        to the lane-major block arrays once.  Together they hold about
-        _STATS_CHUNK elements.  Each term not kept (all of them without
-        stats) puts its psi into one vector that every step reuses; those
-        terms come first in slot order.
-        """
-        terms, kept = self.terms, self.kept
-        lanes, width = kept.shape[1:]
-        tile = min(width, max(1, _STATS_CHUNK // ((1 + len(kept)) * lanes)))
-        zt = np.empty((tile, lanes))
-        kt = np.empty((len(kept), tile, lanes))
-        reused = tuple(np.empty((len(terms) - len(kept), lanes)))
-        # 0-d array operands and ufunc calls with out by position, as in
-        # basis: a Python float costs a scalar conversion, a keyword its
-        # parsing, and an in-place operator with a 0-d operand (acc *= dt_arr)
-        # about twice the call multiply(acc, dt_arr, acc) on 50 lanes
-        c_first, *c_rest = [np.array(c) for _, c in terms]
-        funcs = [self.psis[i] for i, _ in terms]
-        steps = []  # per step of a tile, for _euler_tile
-        for zk, psi in zip(zt, [reused + tuple(kt[:, n]) for n in range(tile)]):
-            steps.append((zk, tuple(zip(funcs, psi)), psi[0], tuple(zip(c_rest, psi[1:]))))
-        step_args = (c_first, np.array(self.dt), np.empty(lanes), np.empty(lanes))
-        return tile, zt, kt, steps, step_args, np.empty(lanes)
-
     def _numpy(self, blk, start, b):
-        """Steps [start, b) of blk on the guarded numpy path."""
-        tile, zt, kt, steps, step_args, last = self._tiles
-        zb = blk[:, 1:]
-        cur = blk[:, start]
-        for lo in range(start, b, tile):
-            t = min(tile, b - lo)
-            np.multiply(zb[:, lo:lo + t].T, self.sig_sqdt, out=zt[:t])
-            _euler_tile(cur, steps[:t], *step_args)
-            zb[:, lo:lo + t] = zt[:t].T
-            if len(kt):
-                self.kept[:, :, lo:lo + t] = kt[:, :t].transpose(0, 2, 1)
-            # the next tile's noise overwrites zt: keep the last state
-            last[...] = zt[t - 1]
-            cur = last
+        """Steps [start, b) of blk on the guarded numpy path, one at a time."""
+        zb = blk[:, start + 1:b + 1]
+        np.multiply(zb, self.sig_sqdt, out=zb)
+        for n in range(start, b):
+            x = blk[:, n]
+            values = [self.psis[i](x) for i, _ in self.terms]
+            for k, t in self.kept_terms:
+                self.kept[k, :, n] = values[t]
+            # z_k + (b(x_k) dt + x_k) has the bits of x_k + b(x_k) dt + z_k
+            blk[:, n + 1] += _drift_sum(self.terms, values) * self.dt + x
 
 
 def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,

@@ -158,6 +158,28 @@ def test_limits_risk_json(capsys):
     assert payload["stderr"] > 0
 
 
+@pytest.mark.parametrize("cov", [{"a": 1.0}, "wide", [[1.0, 0.0], [0.0]], [[None]],
+                                 [[[1.0]]]],
+                         ids=["object", "string", "ragged", "null", "three_dims"])
+def test_limits_cov_not_a_matrix(tmp_path, capsys, cov):
+    # exit 1 would read as a failed tolerance row
+    cov_file = tmp_path / "cov.json"
+    cov_file.write_text(json.dumps(cov))
+    code, out, err = run_cli(capsys, "limits", "--alpha", "0.5", "--cov", str(cov_file),
+                             "--n", "10", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --cov ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("loss, clip", [("sqclip", "-1"), ("sqclip", "0"), ("sqclip", "nan"),
+                                        ("exp", "inf")])
+def test_limits_risk_rejects_bad_clip(capsys, loss, clip):
+    code, out, err = run_cli(capsys, "limits", "--alpha", "0.5", "--n", "100", "--seed",
+                             "1", "--risk", "--loss", loss, "--clip", clip)
+    assert code == 2 and out == ""
+    assert err.startswith("error: clip ") and err.count("\n") == 1
+
+
 def test_limits_alpha_validation(capsys):
     code, _, err = run_cli(capsys, "limits", "--alpha", "1.5", "--n", "10",
                            "--seed", "1")
@@ -190,6 +212,19 @@ def test_estimate_stats_missing_key(tmp_path, capsys):
     code, _, err = run_cli(capsys, "estimate", "--stats", str(stats_file))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "'j'" in err
+
+
+@pytest.mark.parametrize("key, value", [("y", [0.1, None]), ("y", [math.nan, 0.2]),
+                                        ("j", [[1.0, 0.0], [0.0, math.inf]])],
+                         ids=["y_null", "y_nan", "j_infinity"])
+def test_estimate_stats_rejects_non_finite(tmp_path, capsys, key, value):
+    # json reads null as None, which numpy turns into NaN without a word
+    data = {"y": [0.1, 0.2], "j": [[1.0, 0.0], [0.0, 1.0]], "t": 1.0, key: value}
+    stats_file = tmp_path / "stats.json"
+    stats_file.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "estimate", "--stats", str(stats_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"'{key}'" in err
 
 
 def test_estimate_stats_rejects_stacked(tmp_path, capsys):
@@ -227,11 +262,18 @@ def test_estimate_stats_rejects_stacked(tmp_path, capsys):
     # quoted: the moment matrix's own late error names the window without quotes
     ({"kind": "rate", "window": [-math.inf, 2.0], "horizons": [1, 2], "replications": 20,
       "limit_draws": 50}, "'window'"),
+    # json writes and reads these as Infinity and NaN
+    ({"kind": "risk", "horizons": [math.inf], "replications": 2}, "'horizons'"),
+    ({"kind": "identity", "horizons": [1, math.nan], "replications": 2}, "'horizons'"),
+    ({"kind": "identity", "dt": math.inf, "horizons": [1], "replications": 2}, "'dt'"),
+    ({"kind": "rate", "dt": math.nan, "horizons": [1], "replications": 20,
+      "limit_draws": 50}, "'dt'"),
 ], ids=["replications", "horizons", "tolerances", "tolerance_key", "block_steps",
         "horizon_below_dt", "not_an_object", "master_seed_negative", "master_seed_too_big",
         "hill_frac_negative", "hill_frac_one", "max_waves", "target_cycles", "limit_draws",
         "bound_draws", "risk_replications", "rate_horizon_below_one",
-        "risk_horizon_below_one", "rate_window_infinite_end"])
+        "risk_horizon_below_one", "rate_window_infinite_end", "risk_horizon_infinite",
+        "horizon_nan", "dt_infinite", "dt_nan"])
 def test_experiment_malformed_config(tmp_path, capsys, data, name):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(data))

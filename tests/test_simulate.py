@@ -312,9 +312,8 @@ def test_lane_rng_is_philox_keyed_by_seed_and_lane(seed, lane):
 
 def test_stats_off_path_equals_stats_on(spec_sinc):
     # with stats the step writes sinc's psi values into the kept block buffer
-    # (the numpy step through tile rows) and f1's nowhere (the numpy step into
-    # a reused vector), without stats neither (both into reused vectors);
-    # paths, crossings and final states agree bit for bit
+    # and f1's nowhere, without stats neither; paths, crossings and final
+    # states agree bit for bit
     th = ParamVector(0.1, (-0.3,))
     kwargs = dict(want_cycles=True, threshold=0.5, store_path=True, block_steps=977)
     on = run_ensemble(spec_sinc, th, 30.0, 1e-2, 43, 3, **kwargs)
@@ -640,16 +639,13 @@ def _numpy_step_only(monkeypatch):
 @pytest.mark.parametrize("basis, theta", [("sinc", ParamVector(0.1, (-0.3,))),
                                           ("fourier-2", ParamVector(0.1, THETA2["fourier-2"]))])
 def test_tile_width_does_not_change_results(monkeypatch, basis, theta):
-    # the compiled step runs in tiles of _STATS_CHUNK // lanes steps, the
-    # numpy step in tiles of _STATS_CHUNK // (arrays * lanes), with one tile
-    # array for the state and one per nonzero basis term: 1-step and 7-step
-    # numpy tiles (7 does not divide the 977-step blocks), and compiled tiles
-    # of 1 * arrays and 7 * arrays steps, against the default, one tile per
-    # block; the checkpoint at step 1234 falls inside a 7-step tile and a
-    # default one
+    # the compiled step runs in tiles of _STATS_CHUNK // lanes steps: 1-step
+    # and 7-step tiles (7 does not divide the 977-step blocks) against the
+    # default, one tile per block; the checkpoint at step 1234 falls inside a
+    # 7-step tile and a default one.  The numpy step has no tiles: for it
+    # _STATS_CHUNK moves only the lane chunks of the (y, J) pass
     spec = ModelSpec.from_names(1.0, basis)
     lanes = 3
-    arrays = 1 + sum(c != 0.0 for c in theta.theta2)
     kwargs = dict(window=(-1.0, 1.5), checkpoint_times=(12.34,), want_cycles=True,
                   threshold=0.5, store_path=True, block_steps=977, threads=1)
     default = run_ensemble(spec, theta, 30.0, 1e-2, 41, lanes, **kwargs)
@@ -658,7 +654,7 @@ def test_tile_width_does_not_change_results(monkeypatch, basis, theta):
         if numpy_step:
             _numpy_step_only(monkeypatch)
         for steps in (1, 7):
-            monkeypatch.setattr(simulate, "_STATS_CHUNK", steps * arrays * lanes)
+            monkeypatch.setattr(simulate, "_STATS_CHUNK", steps * lanes)
             tiled = run_ensemble(spec, theta, 30.0, 1e-2, 41, lanes, **kwargs)
             for f in fields(EnsembleResult):
                 _assert_same_bits(getattr(tiled, f.name), getattr(default, f.name))
