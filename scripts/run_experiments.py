@@ -8,9 +8,9 @@ Usage:
 Runs `nullrec experiment --config scripts/configs/<name>.json` per name;
 reports land under out/.  Exits with the largest exit status of the runs.
 With NULLREC_THREADS=2 on a shared 2-vCPU Xeon host (2026-10-20), tail took
-107 s, risk 26 s, rate 15.5 s, rlt 1.4 s and identity under 0.4 s (README,
-Experiments); NULLREC_THREADS sets how many worker processes run the
-replications.
+107 s, risk 26 s, rate 15.5 s, rlt 1.4 s and identity under 0.4 s, and tail
+68.5 s once the draws were compiled (2026-10-22; README, Experiments);
+NULLREC_THREADS sets how many worker processes run the replications.
 """
 
 import sys

@@ -29,7 +29,6 @@ from .limits import LimitLawSpec, make_loss, monte_carlo_risk, rng_stream, sampl
 from .model import (
     ModelSpec,
     ParamVector,
-    _drift_terms,
     asymptotic_constants,
     information_scale_matrix,
     mu_moment_matrix,
@@ -37,8 +36,8 @@ from .model import (
     scale_inverse,
     theta_in_domain,
 )
-from .simulate import (EnsembleResult, SufficientStats, _c_step_for, _worker_pool, n_steps_for,
-                       n_threads, run_ensemble, score_at)
+from .simulate import (EnsembleResult, SufficientStats, _load_compiled, _worker_pool,
+                       n_steps_for, n_threads, run_ensemble, score_at)
 
 __all__ = [
     "ExperimentConfig",
@@ -714,8 +713,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     t_start = time.perf_counter()
     spec, theta = config.model_spec(), config.theta()
-    if _drift_terms(spec, theta):
-        _c_step_for(spec)  # loaded before the pool forks, its workers inherit it
+    _load_compiled(spec, theta)  # before the pool forks: its workers inherit it
     with _worker_pool(n_threads()):
         rows = _ROWS[config.kind](config, spec, theta)
     return ExperimentReport(config.kind, rows, time.perf_counter() - t_start)

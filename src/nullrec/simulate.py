@@ -10,12 +10,15 @@ accumulates the sufficient statistics
     j_il = sum_k psi_i(x_l) psi_l(x_k) dt / sigma^2
 
 with psi = (f1, f_{2,1}, ..., f_{2,m}), optionally windowed by an indicator,
-plus life-cycle crossing records, without retaining paths.  When the drift is
-identically zero the per-step recursion collapses to a cumulative sum.
-Otherwise each block runs through the compiled step of cstep.c, which has
-the bits of the guarded numpy step, as far as it stays free of
-floating-point errors; the numpy step runs the rest, and all of it where the
-compiled step cannot run (see _DriftStep and _c_step_for).
+plus life-cycle crossing records, without retaining paths.  The compiled
+code of cstep.c draws each block's normals with the bits of numpy's
+standard_normal on the lane streams.  When the drift is identically zero the
+per-step recursion collapses to a cumulative sum, and one call of cstep.c
+draws, sums and scans a block for crossings.  Otherwise each block runs
+through the compiled step, which has the bits of the guarded numpy step, as
+far as it stays free of floating-point errors; the numpy step runs the rest.
+Where the compiled code cannot run, numpy draws and steps every block, with
+the same bits (see _compiled, _c_noise and _c_step_for).
 """
 
 from __future__ import annotations
@@ -203,7 +206,9 @@ _STATS_CHUNK = 1 << 15
 
 def _default_block(lanes: int) -> int:
     # lanes x steps at most 2^18 float64 (2 MiB, about an L2 cache), unless that
-    # means blocks under 1024 steps, where the per-lane Philox call dominates
+    # means blocks under 1024 steps, where the numpy draws' per-lane call per
+    # block dominates (the compiled draws make one call a block).  The blocks
+    # also cut the sums of the statistics, so another rule would move their bits
     return max(1024, min(65536, (1 << 18) // max(lanes, 1)))
 
 
@@ -317,48 +322,136 @@ def _scan_crossings(up, dn, mode):
 _CHECK_X0 = (0.0, -0.0, 1e-150, -3e-9, 0.3, -0.7, 1.5, -2.5, 3.25, -6.5, 12.0, -25.0,
              50.5, -1e2, 7e2, -4e3, 2.5e4, -1e6, 3e8, -1e12, 1e16, -1e22, 1e50, -1e100)
 _CHECK_STEPS = 48
+# the self-check of the compiled normals: these lanes of seed 2^64 - 1, drawn
+# in calls of these sizes in turn, against lane_rng
+_CHECK_LANES = (0, 1, 5 << 32 | 3, _MASK64)
+_CHECK_CALLS = (0, 1, 3, 4, 5, 8, 1021, 4096)
 
-# cstep's load (key None), then per basis, by the term_kinds of its psis, a
+# cstep's Library (key None), the Library again if its normals pass their
+# self-check (key "noise"), then per basis, by the term_kinds of its psis, a
 # maker of its checked cstep.Step; or, in their place, why there is none
 _c_steps = {}
 _c_steps_lock = threading.Lock()
-_fallback_warned = set()  # the reasons the numpy step has run for
+_fallback_warned = set()  # the warnings of a fallback issued so far
+
+
+def _warn_fallback(message: str) -> None:
+    """Issue message as a RuntimeWarning, once per process."""
+    with _c_steps_lock:
+        fresh = message not in _fallback_warned
+        _fallback_warned.add(message)
+    if fresh:
+        warnings.warn(message, RuntimeWarning, stacklevel=4)
+
+
+def _compiled():
+    """cstep's Library, or None where no C compiler works.
+
+    The first call in a process builds (or finds in the cache) and loads the
+    library.  None means the numpy draws and the numpy step run; the first
+    None issues a RuntimeWarning that says why.  This is the one switch of
+    the compiled code: with it None, every run is numpy's.
+    """
+    from . import cstep  # here, not at import
+
+    with _c_steps_lock:
+        if None not in _c_steps:
+            try:
+                _c_steps[None] = cstep.load()
+            except (cstep.CompileError, OSError) as exc:
+                _c_steps[None] = f"no C compiler works ({exc})"
+        lib = _c_steps[None]
+    if isinstance(lib, str):
+        _warn_fallback(f"nullrec's compiled code does not load, so each block runs on "
+                       f"numpy, draws and Euler step, which is slower: {lib}")
+        return None
+    return lib
+
+
+def _c_noise():
+    """cstep's Library if its normals give lane_rng's bits, else None.
+
+    The first call in a process runs the self-check (_check_noise).  None
+    means the numpy draws run; the first None for each reason issues a
+    RuntimeWarning that names it.
+    """
+    lib = _compiled()
+    if lib is None:
+        return None
+    with _c_steps_lock:
+        if "noise" not in _c_steps:
+            _c_steps["noise"] = lib.noise_missing or _check_noise(lib)
+        outcome = _c_steps["noise"]
+    if isinstance(outcome, str):
+        _warn_fallback(f"the Philox draws run on numpy, not compiled, which is slower: "
+                       f"{outcome}")
+        return None
+    return outcome
+
+
+def _philox_row(rng) -> np.ndarray:
+    """The (11,) uint64 stream row of cstep.Streams for a Philox Generator."""
+    state = rng.bit_generator.state
+    return np.concatenate([state["state"]["key"], state["state"]["counter"],
+                           state["buffer"], np.array([state["buffer_pos"]], np.uint64)])
+
+
+def _check_noise(lib):
+    """lib if its normals give lane_rng's bytes and streams, call after call.
+
+    Else returns why the check failed.
+    """
+    from . import cstep
+
+    streams = cstep.Streams(lib, _MASK64, _CHECK_LANES)
+    rngs = [lane_rng(_MASK64, lane) for lane in _CHECK_LANES]
+    for n in _CHECK_CALLS:
+        got = np.empty((len(rngs), n))
+        streams.fill(got)
+        for rng, row, state in zip(rngs, got, streams.state):
+            if (rng.standard_normal(n).tobytes() != row.tobytes()
+                    or not np.array_equal(_philox_row(rng), state)):
+                return "the compiled normals' bits differ from numpy's"
+    return lib
 
 
 def _c_step_for(spec: ModelSpec):
     """A maker of the compiled Euler step for spec's basis, or None.
 
-    At the first call in a process this builds (or finds in the cache) and
-    loads the library; at the first call for a basis it runs the self-check.
-    None means the guarded numpy step runs instead; the first None for each
-    reason issues a RuntimeWarning that names it.
+    At the first call for a basis this runs the self-check.  None means the
+    guarded numpy step runs instead; the first None for each reason issues a
+    RuntimeWarning that names it.
     """
-    from . import cstep  # here, not at import: a run without drift never needs it
+    from . import cstep
 
     psis = _psis_with_out(spec)
     kinds = cstep.term_kinds(psis)
-    with _c_steps_lock:
-        if kinds is None:
-            outcome = f"basis {spec.basis.name!r} is not built in"
-        else:
-            if None not in _c_steps:
-                try:
-                    _c_steps[None] = cstep.load()
-                except (cstep.CompileError, OSError) as exc:
-                    _c_steps[None] = f"no C compiler works ({exc})"
+    if kinds is None:
+        outcome = f"basis {spec.basis.name!r} is not built in"
+    else:
+        lib = _compiled()
+        if lib is None:
+            return None
+        with _c_steps_lock:
             if kinds not in _c_steps:
-                fn = _c_steps[None]
-                _c_steps[kinds] = fn if isinstance(fn, str) else _self_check(
-                    functools.partial(cstep.Step, fn, kinds), psis, spec.basis.name)
+                _c_steps[kinds] = _self_check(functools.partial(cstep.Step, lib, kinds),
+                                              psis, spec.basis.name)
             outcome = _c_steps[kinds]
-        if not isinstance(outcome, str):
-            return outcome
-        fresh = outcome not in _fallback_warned
-        _fallback_warned.add(outcome)
-    if fresh:
-        warnings.warn(f"the Euler drift step runs on numpy, not compiled, which is slower: "
-                      f"{outcome}", RuntimeWarning, stacklevel=3)
-    return None
+    if isinstance(outcome, str):
+        _warn_fallback(f"the Euler drift step runs on numpy, not compiled, which is "
+                       f"slower: {outcome}")
+        return None
+    return outcome
+
+
+def _load_compiled(spec: ModelSpec, theta: ParamVector) -> None:
+    """Load and check the compiled code a run of spec at theta uses.
+
+    Called before a worker pool forks, so that its workers inherit it.
+    """
+    _c_noise()
+    if _drift_terms(spec, theta):
+        _c_step_for(spec)
 
 
 def _self_check(make, psis, name):
@@ -438,8 +531,14 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
     Module level so that a partial of it can run in worker processes.  Lane
     indices are global, so results do not depend on how lanes are chunked.
     """
-    rngs = [lane_rng(seed, lane) for lane in range(*lane_span)]
-    lanes = len(rngs)
+    noise = _c_noise()
+    if noise is None:
+        rngs = [lane_rng(seed, lane) for lane in range(*lane_span)]
+    else:
+        from . import cstep
+
+        streams = cstep.Streams(noise, seed, range(*lane_span))
+    lanes = lane_span[1] - lane_span[0]
     sig_sqdt = spec.sigma * math.sqrt(dt)
     terms = _drift_terms(spec, theta)
     psis = _psis_with_out(spec)
@@ -452,9 +551,14 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
         if window is not None:
             y_win, j_win = np.zeros((lanes, p)), np.zeros((lanes, p, p))
             targets.append((window, None, y_win, j_win))
+    width = min(block_steps, n_steps)
+    scan = None  # the crossing scan of the compiled driftless block
     if want_cycles:
-        mode = [0] * lanes  # 0: await upcross, 1: await downcross
+        mode = np.zeros(lanes, dtype=np.int32)  # 0: await upcross, 1: await downcross
         r_times = [[] for _ in range(lanes)]
+        if noise is not None and not terms:
+            scan = (threshold, mode, np.empty((lanes, (width + 2) // 2), dtype=np.int32),
+                    np.empty(lanes, dtype=np.int64))
     checkpoints = {}
     # each block is one (L, b+1) array: column 0 holds the state before the
     # block, each other column a step's noise and then the state after it.
@@ -462,7 +566,6 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
     # and else one block that every block reuses.  With stats, kept[n] holds
     # the Euler step's psi values, before each step, of the n-th basis drift
     # term.  f1 costs less to evaluate again in the stats pass than to keep.
-    width = min(block_steps, n_steps)
     z = np.empty((lanes, (n_steps if store_path else width) + 1))
     z[:, 0] = spec.x0
     x = z[:, 0]  # the state before the next block
@@ -481,14 +584,22 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
         blk = z[:, done:done + b + 1] if store_path else z[:, :b + 1]
         blk[:, 0] = x  # a no-op in the first block and on stored paths
         zb = blk[:, 1:]
-        for rng, row in zip(rngs, zb):
-            rng.standard_normal(out=row)
-        if not terms:
-            zb *= sig_sqdt
-            np.cumsum(zb, axis=1, out=zb)
-            zb += blk[:, :1]
-        else:
-            drift(blk, b)
+        # the compiled driftless block draws, sums and scans in one call; where
+        # it raised a floating-point flag, numpy runs the block again from the
+        # same streams and shows its warnings
+        fused = noise is not None and not terms and streams.driftless(blk, b, sig_sqdt, scan)
+        if not fused:
+            if noise is None:
+                for rng, row in zip(rngs, zb):
+                    rng.standard_normal(out=row)
+            else:
+                streams.fill(zb)
+            if not terms:
+                zb *= sig_sqdt
+                np.cumsum(zb, axis=1, out=zb)
+                zb += blk[:, :1]
+            else:
+                drift(blk, b)
         if want_stats:
             snaps = [(None, step - done, y.copy(), jj.copy())
                      for step in checkpoint_steps if done < step <= done + b]
@@ -496,7 +607,11 @@ def _simulate_chunk(lane_span, *, spec, theta, n_steps, dt, seed, window,
                        targets + snaps, quiet)
             for _, cut, y_ck, jj_ck in snaps:
                 checkpoints[(done + cut) * dt] = _scaled_stats(y_ck, jj_ck, spec.sigma, dt)
-        if want_cycles:
+        if want_cycles and fused:
+            _, _, hits, nhits = scan
+            for i in np.flatnonzero(nhits).tolist():
+                r_times[i].extend((done + h + 1) * dt for h in hits[i, :nhits[i]].tolist())
+        elif want_cycles:
             up = zb > threshold
             dn = zb < 0.0
             for i in range(lanes):
@@ -612,8 +727,7 @@ def run_ensemble(
         store_path=store_path, block_steps=block_steps)
     if len(spans) == 1:
         return chunk(spans[0])
-    if _drift_terms(spec, theta):
-        _c_step_for(spec)  # loaded before a pool forks, its workers inherit it
+    _load_compiled(spec, theta)  # before a pool forks: its workers inherit it
     with _worker_pool(len(spans)) as pool:
         parts = list(pool.map(chunk, spans))
     return _merge(parts)

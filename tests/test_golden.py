@@ -61,16 +61,16 @@ def _emit(name: str, base: Path) -> Path:
     return base / f"{name}.csv"
 
 
-# the compiled Euler step, and the numpy step it falls back to, which must
-# give the same bytes (the compiled cases keep the plain config ids)
+# the compiled draws and Euler step, and the numpy draws and step they fall
+# back to, which must give the same bytes (the compiled cases keep the plain
+# config ids)
 @pytest.mark.parametrize("name, step", [
     *(pytest.param(name, "compiled", id=name) for name in sorted(CONFIGS)),
     *(pytest.param(name, "numpy", id=f"{name}-numpy") for name in sorted(CONFIGS)),
 ])
 def test_report_matches_golden(name, step, tmp_path, monkeypatch):
     if step == "numpy":
-        for module in (simulate, harness):
-            monkeypatch.setattr(module, "_c_step_for", lambda spec: None)
+        monkeypatch.setattr(simulate, "_compiled", lambda: None)
     got = _emit(name, tmp_path).read_bytes()
     assert got == (GOLDEN / f"{name}.csv").read_bytes()
 

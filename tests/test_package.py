@@ -75,7 +75,7 @@ def test_numpy_only_paths_never_load_scipy():
 
 
 def test_import_builds_no_compiled_step(tmp_path):
-    # the compiled Euler step is built and loaded at the first drift run,
+    # the compiled code is built and loaded at the first run of any kind,
     # never at import: a fresh import leaves the cache untouched
     env = dict(os.environ, PYTHONPATH=str(Path(nullrec.__file__).parents[1]),
                XDG_CACHE_HOME=str(tmp_path))
